@@ -17,12 +17,13 @@ without a metrics service.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import pyarrow as pa
 
 from ..registry import get_model
 from ..stages.extract import EXTRACTOR_VERSION
-from ..state.lineage import ShardManifest, run_sharded
+from ..state.lineage import ShardManifest, publish, run_sharded
 from .kg import CANDIDATE_COLUMNS, DEFAULT_MODEL, SCORE_THRESHOLD
 
 
@@ -69,46 +70,32 @@ def _counted(fn, counters, stage: str):
     return wrapper
 
 
-# CANDIDATE_COLUMNS (imported from kg.py above): the one list both the
-# sharded job and the unsharded pipeline consume
-
-
 def shard_candidates(shard_file: str, *, model_name=DEFAULT_MODEL,
                      threshold=SCORE_THRESHOLD, counters=None):
     """Scored, filtered candidate rows for ONE input shard → Dataset.
 
-    The expensive model pass, per shard and resumable. Canonicalization and
-    dedup are NOT applied here: the surface→canonical-id map must be built
-    from GLOBAL counts, and triple dedup must span shards — both happen once
-    in ``compact_candidates`` (a per-shard finalize would canonicalize the
+    The expensive model pass, per shard and resumable: a counted ``pages``
+    stage, then ``kg.candidate_stages``. Canonicalization and dedup are NOT
+    applied here: the surface→canonical-id map must be built from GLOBAL
+    counts, and triple dedup must span shards — both happen once in
+    ``compact_candidates`` (a per-shard finalize would canonicalize the
     same surface to different ids in different shards and emit duplicate
     triples across shards).
     """
     import ray.data as rd
 
-    from ..sources.pages import documents_to_pages
-    from ..stages.extract import ExtractText
-    from ..stages.ner import mentions_udf
-    from ..stages.pairs import generate_pairs
-    from ..stages.score import scorer_udf
-    from .kg import filter_triples
+    from ..sources.pages import PAGE_COLUMNS, documents_to_pages
+    from .kg import candidate_stages, map_stages
+
+    def count(name, fn):
+        return fn if counters is None else _counted(fn, counters, name)
 
     ds = rd.read_parquet(shard_file,
                          columns=["doc_id", "text", "lang", "source"])
-    stages = [
-        ("pages", documents_to_pages),
-        ("extract", ExtractText()),
-        ("mentions", mentions_udf()),
-        ("pairs", generate_pairs),
-        ("score", scorer_udf(model_name)),
-        ("filter", lambda b: filter_triples(b, threshold)),
-    ]
-    for name, fn in stages:
-        if counters is not None:
-            fn = _counted(fn, counters, name)
-        ds = ds.map_batches(fn, batch_format="pyarrow")
-        if name == "pages":
-            ds = ds.select_columns(["url", "warc_ts", "html", "lang"])
+    ds = ds.map_batches(count("pages", documents_to_pages),
+                        batch_format="pyarrow").select_columns(PAGE_COLUMNS)
+    ds = map_stages(ds, [(name, count(name, fn)) for name, fn in
+                         candidate_stages(model_name, threshold)])
     return ds.select_columns(CANDIDATE_COLUMNS)
 
 
@@ -116,13 +103,13 @@ def compact_candidates(out_root: str, *, model_hash: str = "") -> str:
     """Global finalize: all candidate shards → canonical deduped triples.
 
     Builds the surface→canonical map ONCE over every shard's candidates
-    (cross-shard consistent ids), dedups triples across shards, writes the
-    subj-sorted graph to ``<out_root>/triples/`` atomically (tmp + rename).
-    Idempotent: re-running after new shards land simply rebuilds the graph;
-    the expensive model pass is never repeated (it is the resumable part).
+    (cross-shard consistent ids), dedups triples across shards, and
+    publishes the subj-sorted graph to ``<out_root>/triples/``
+    (``lineage.publish``). Idempotent: re-running after new shards land —
+    or after a crash mid-publish — simply rebuilds the graph; the
+    expensive model pass is never repeated (it is the resumable part).
     """
     import glob
-    import shutil
 
     import ray.data as rd
 
@@ -130,27 +117,44 @@ def compact_candidates(out_root: str, *, model_hash: str = "") -> str:
 
     cand_files = sorted(glob.glob(
         os.path.join(out_root, "candidates", "shard=*", "*.parquet")))
-    final = os.path.join(out_root, "triples")
-    # sweep leftovers from crashed runs (any pid — a crashed run's pid is
-    # gone, so the pid-suffixed dirs would otherwise accumulate forever)
-    for stale in glob.glob(os.path.join(out_root, "_tmp-triples-*")) + \
-            glob.glob(os.path.join(out_root, "_old-triples-*")):
-        shutil.rmtree(stale, ignore_errors=True)
-    tmp = os.path.join(out_root, f"_tmp-triples-{os.getpid()}")
-    os.makedirs(tmp, exist_ok=True)
-    if cand_files:
-        triples = finalize_triples(rd.read_parquet(cand_files))
-        materialize_graph(triples, tmp, model_hash=model_hash)
-    # swap via two renames (each atomic): the old graph is moved aside —
-    # never deleted — before the new one takes its place, so a crash at any
-    # point leaves either the old or the new graph at ``final``, never
-    # neither (rmtree-then-rename had a no-graph window)
-    old = os.path.join(out_root, f"_old-triples-{os.getpid()}")
-    if os.path.exists(final):
-        os.rename(final, old)
-    os.rename(tmp, final)
-    shutil.rmtree(old, ignore_errors=True)
-    return final
+
+    def write(tmp):
+        if cand_files:
+            materialize_graph(finalize_triples(rd.read_parquet(cand_files)),
+                              tmp, model_hash=model_hash)
+
+    return publish(out_root, "triples", write)
+
+
+def _run_job(shard_files, out_root: str, phase_dir: str, build, *,
+             model_hash: str, version: str, finalize) -> dict:
+    """The two-phase job shape both jobs share.
+
+    Phase 1 (resumable): ``build(path, counters)`` per shard, written to
+    ``<out_root>/<phase_dir>/shard=<name>/`` with a manifest snapshotting
+    that shard's stage counters; restarts skip completed shards.
+    Phase 2: ``finalize()`` (None skips it) returns entries merged into
+    the result.
+    """
+    import ray
+
+    if isinstance(shard_files, list):
+        shard_files = {
+            os.path.splitext(os.path.basename(p))[0]: p for p in shard_files}
+    counters = _counter_actor()
+
+    def make_manifest(name):
+        snap = ray.get(counters.snapshot.remote(reset=True))
+        return ShardManifest(
+            name, input_path=shard_files[name], model_hash=model_hash,
+            extractor_version=version, counters=snap)
+
+    result = run_sharded(
+        {n: partial(build, p, counters) for n, p in shard_files.items()},
+        os.path.join(out_root, phase_dir), make_manifest)
+    if finalize is not None:
+        result.update(finalize())
+    return result
 
 
 def run_kg_job(shard_files: list[str] | dict[str, str], out_root: str, *,
@@ -170,31 +174,19 @@ def run_kg_job(shard_files: list[str] | dict[str, str], out_root: str, *,
             explicit {name: path} mapping.
     Returns {completed, skipped, triples_dir}.
     """
-    import ray
-
-    if isinstance(shard_files, list):
-        shard_files = {
-            os.path.splitext(os.path.basename(p))[0]: p for p in shard_files}
     model_hash = get_model(model_name).model_hash
-    counters = _counter_actor()
 
-    def build(path):
-        return lambda: shard_candidates(path, model_name=model_name,
-                                        threshold=threshold,
-                                        counters=counters)
+    def build(path, counters):
+        return shard_candidates(path, model_name=model_name,
+                                threshold=threshold, counters=counters)
 
-    def make_manifest(name):
-        snap = ray.get(counters.snapshot.remote(reset=True))
-        return ShardManifest(
-            name, input_path=shard_files[name], model_hash=model_hash,
-            extractor_version=EXTRACTOR_VERSION, counters=snap)
+    def finalize():
+        return {"triples_dir": compact_candidates(out_root,
+                                                  model_hash=model_hash)}
 
-    result = run_sharded({n: build(p) for n, p in shard_files.items()},
-                         os.path.join(out_root, "candidates"), make_manifest)
-    if compact:
-        result["triples_dir"] = compact_candidates(out_root,
-                                                   model_hash=model_hash)
-    return result
+    return _run_job(shard_files, out_root, "candidates", build,
+                    model_hash=model_hash, version=EXTRACTOR_VERSION,
+                    finalize=finalize if compact else None)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +205,6 @@ def shard_filtered(shard_file: str, *, counters=None):
     happen once in ``compact_chunks`` (a per-shard finalize would sample
     against shard-local language mixes and miss cross-shard boilerplate).
     """
-    import pyarrow as pa
     import ray.data as rd
 
     from ..functions.textstats import gopher_signals
@@ -232,12 +223,11 @@ def shard_filtered(shard_file: str, *, counters=None):
 def compact_chunks(out_root: str, *, alpha: float = 0.3, para_w: int = 10,
                    chunk_size: int = 32, chunk_stride: int = 24) -> str:
     """Global finalize: all filtered shards → temperature-rebalanced,
-    paragraph-deduped, chunked corpus at ``<out_root>/chunks/``.
-    Idempotent, atomic two-rename swap (same crash contract as
-    ``compact_candidates``); the per-shard filter pass is never repeated.
+    paragraph-deduped, chunked corpus, published to ``<out_root>/chunks/``
+    (same contract as ``compact_candidates``); the per-shard filter pass
+    is never repeated.
     """
     import glob
-    import shutil
 
     import ray.data as rd
 
@@ -246,26 +236,18 @@ def compact_chunks(out_root: str, *, alpha: float = 0.3, para_w: int = 10,
 
     filt_files = sorted(glob.glob(
         os.path.join(out_root, "filtered", "shard=*", "*.parquet")))
-    final = os.path.join(out_root, "chunks")
-    for stale in glob.glob(os.path.join(out_root, "_tmp-chunks-*")) + \
-            glob.glob(os.path.join(out_root, "_old-chunks-*")):
-        shutil.rmtree(stale, ignore_errors=True)
-    tmp = os.path.join(out_root, f"_tmp-chunks-{os.getpid()}")
-    os.makedirs(tmp, exist_ok=True)
-    if filt_files:
-        ds = rd.read_parquet(filt_files)
-        sampled = temperature_sample(ds, "lang", "doc_id", alpha=alpha)
-        cleaned = paragraph_dedup(sampled, w=para_w)
-        chunks = chunk_windows(cleaned, size=chunk_size,
-                               stride=chunk_stride,
-                               text_col="clean_text")
-        chunks.write_parquet(tmp)
-    old = os.path.join(out_root, f"_old-chunks-{os.getpid()}")
-    if os.path.exists(final):
-        os.rename(final, old)
-    os.rename(tmp, final)
-    shutil.rmtree(old, ignore_errors=True)
-    return final
+
+    def write(tmp):
+        if filt_files:
+            ds = rd.read_parquet(filt_files)
+            sampled = temperature_sample(ds, "lang", "doc_id", alpha=alpha)
+            cleaned = paragraph_dedup(sampled, w=para_w)
+            chunks = chunk_windows(cleaned, size=chunk_size,
+                                   stride=chunk_stride,
+                                   text_col="clean_text")
+            chunks.write_parquet(tmp)
+
+    return publish(out_root, "chunks", write)
 
 
 def run_curation_job(shard_files: list[str] | dict[str, str],
@@ -279,26 +261,14 @@ def run_curation_job(shard_files: list[str] | dict[str, str],
     completed shards); phase 2 runs the global sample→dedup→chunk
     finalize once, idempotently. Returns {completed, skipped,
     chunks_dir}."""
-    import ray
+    def build(path, counters):
+        return shard_filtered(path, counters=counters)
 
-    if isinstance(shard_files, list):
-        shard_files = {
-            os.path.splitext(os.path.basename(p))[0]: p for p in shard_files}
-    counters = _counter_actor()
-
-    def build(path):
-        return lambda: shard_filtered(path, counters=counters)
-
-    def make_manifest(name):
-        snap = ray.get(counters.snapshot.remote(reset=True))
-        return ShardManifest(
-            name, input_path=shard_files[name], model_hash="",
-            extractor_version=CURATION_VERSION, counters=snap)
-
-    result = run_sharded({n: build(p) for n, p in shard_files.items()},
-                         os.path.join(out_root, "filtered"), make_manifest)
-    if compact:
-        result["chunks_dir"] = compact_chunks(
+    def finalize():
+        return {"chunks_dir": compact_chunks(
             out_root, alpha=alpha, para_w=para_w, chunk_size=chunk_size,
-            chunk_stride=chunk_stride)
-    return result
+            chunk_stride=chunk_stride)}
+
+    return _run_job(shard_files, out_root, "filtered", build,
+                    model_hash="", version=CURATION_VERSION,
+                    finalize=finalize if compact else None)

@@ -2,9 +2,11 @@
 
     read pages (parquet / synthesized)
       → ExtractText                (stateless tasks; drops html immediately)
-      → SentenceMentions           (actor pool: pinned alias table)
+      → mentions_udf               (stateless tasks; compiled alias table
+                                    cached per worker)
       → generate_pairs             (stateless explode)
-      → RelationScorer             (actor pool: model weights in __init__)
+      → scorer_udf                 (stateless tasks; model weights cached
+                                    per worker)
       → filter score ≥ τ, rel ≠ NA (vectorized arrow filter)
       → canonicalize               (two-phase groupby + broadcast rewrite)
       → triple dedup               (groupby (subj,pred,obj) — exact distinct,
@@ -19,27 +21,43 @@ reduced by filtering/partial aggregation.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.pages import read_pages
 from ..stages.canonicalize import canonicalize_ids
 from ..stages.extract import ExtractText
-from ..stages.ner import SentenceMentions
 from ..stages.pairs import generate_pairs
-from ..stages.score import RelationScorer
 
 DEFAULT_MODEL = "wiki80_cnn_softmax"
 SCORE_THRESHOLD = 0.12   # seeded-weight scale; ~uniform is 1/|R| = 0.10
 
 
-def candidate_instances(pages_ds, *, model_name=DEFAULT_MODEL):
-    """pages → scored instance rows (everything before the wide stages).
+def candidate_stages(model_name=DEFAULT_MODEL, threshold=SCORE_THRESHOLD):
+    """The candidate chain, pages → filtered candidate rows, as ordered
+    ``(stage name, batch fn)`` pairs: extract → mentions → pairs → score →
+    filter. The one definition ``extract_triples``, ``candidate_instances``
+    and the sharded job (which counts rows per stage name) all build on.
 
-    All four stages run as stateless tasks with per-worker-cached state
+    All stages run as stateless tasks with per-worker-cached state
     (model weights, compiled gazetteer regex) — see ``stages.score`` for
     why this beats actor pools for CPU-resident models: elastic task
     scheduling, no pool ramp-up, no pool-vs-pool CPU budget deadlocks.
+    """
+    from ..stages.ner import mentions_udf
+    from ..stages.score import scorer_udf
+
+    return [("extract", ExtractText()),
+            ("mentions", mentions_udf()),
+            ("pairs", generate_pairs),
+            ("score", scorer_udf(model_name)),
+            ("filter", partial(filter_triples, threshold=threshold))]
+
+
+def map_stages(ds, stages):
+    """Apply ``(name, batch fn)`` stages in order as pyarrow map_batches.
 
     batch_size is deliberately None on every stage: a non-None batch_size
     makes the fused operator BUNDLE input blocks until it has that many
@@ -47,14 +65,15 @@ def candidate_instances(pages_ds, *, model_name=DEFAULT_MODEL):
     and serializing the pipeline. Task granularity = one input block;
     numeric chunking happens inside RelationScorer (CHUNK rows).
     """
-    from ..stages.ner import mentions_udf
-    from ..stages.score import scorer_udf
-
-    ds = pages_ds.map_batches(ExtractText(), batch_format="pyarrow")
-    ds = ds.map_batches(mentions_udf(), batch_format="pyarrow")
-    ds = ds.map_batches(generate_pairs, batch_format="pyarrow")
-    ds = ds.map_batches(scorer_udf(model_name), batch_format="pyarrow")
+    for _, fn in stages:
+        ds = ds.map_batches(fn, batch_format="pyarrow")
     return ds
+
+
+def candidate_instances(pages_ds, *, model_name=DEFAULT_MODEL):
+    """pages → scored, UNFILTERED instance rows: the candidate chain
+    without its final filter stage."""
+    return map_stages(pages_ds, candidate_stages(model_name)[:-1])
 
 
 def filter_triples(batch: pa.Table, threshold: float = SCORE_THRESHOLD) -> pa.Table:
@@ -69,7 +88,7 @@ CANDIDATE_COLUMNS = ["h_id", "h_name", "t_id", "t_name", "pred_rel",
                      "score", "url", "model_hash"]
 
 
-def finalize_triples(inst_ds, canonicalize: bool = True):
+def finalize_triples(inst_ds):
     """Shared wide-stage tail: filtered candidates → deduplicated triples.
 
     Two passes for canonicalization (pass 1 builds the tiny surface →
@@ -84,17 +103,16 @@ def finalize_triples(inst_ds, canonicalize: bool = True):
 
     from ..functions.relational import hash_bucket_aggregate
 
-    if canonicalize:
-        # keep ONLY the columns the two passes need (names for the map,
-        # ids/score/lineage for dedup) — materializing with `text` & spans
-        # attached would hold every surviving candidate's sentence in the
-        # object store for no consumer (at corpus scale that is the
-        # difference between caching candidates and caching the corpus)
-        inst_ds = inst_ds.select_columns(CANDIDATE_COLUMNS).materialize()
-        # size-gated: broadcast map under CANON_BROADCAST_LIMIT distinct
-        # surfaces (the gazetteer reality), bucketed-join rewrite above it
-        # (open-web NER, surfaces ≈ corpus cardinality)
-        inst_ds = canonicalize_ids(inst_ds, CANDIDATE_COLUMNS)
+    # keep ONLY the columns the two passes need (names for the map,
+    # ids/score/lineage for dedup) — materializing with `text` & spans
+    # attached would hold every surviving candidate's sentence in the
+    # object store for no consumer (at corpus scale that is the
+    # difference between caching candidates and caching the corpus)
+    inst_ds = inst_ds.select_columns(CANDIDATE_COLUMNS).materialize()
+    # size-gated: broadcast map under CANON_BROADCAST_LIMIT distinct
+    # surfaces (the gazetteer reality), bucketed-join rewrite above it
+    # (open-web NER, surfaces ≈ corpus cardinality)
+    inst_ds = canonicalize_ids(inst_ds, CANDIDATE_COLUMNS)
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["h_id", "pred_rel", "t_id"], as_index=False)
@@ -110,19 +128,15 @@ def finalize_triples(inst_ds, canonicalize: bool = True):
                                  dedup_bucket)
 
 
-def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL,
-                    threshold=SCORE_THRESHOLD,
-                    canonicalize=True, repeat=1, docs_path=None):
+def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL, repeat=1,
+                    docs_path=None):
     """Full pipeline → deduplicated triple Dataset.
 
     Output schema: subj, pred, obj (canonical ids), n_evidence (instance
     count), score (max), sample_url, model_hash (per-row lineage).
     """
     pages = read_pages(sf_dir, repeat=repeat, docs_path=docs_path)
-    inst = candidate_instances(pages, model_name=model_name)
-    inst = inst.map_batches(lambda b: filter_triples(b, threshold),
-                            batch_format="pyarrow")
-    return finalize_triples(inst, canonicalize=canonicalize)
+    return finalize_triples(map_stages(pages, candidate_stages(model_name)))
 
 
 def materialize_graph(triples_ds, out_dir: str, model_hash: str = ""):

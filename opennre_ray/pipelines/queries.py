@@ -3704,7 +3704,7 @@ def _triples_cached(sf_dir, model_name=None, threshold=None):
     def build():
         inst = _scored_candidates(sf_dir, model).map_batches(
             lambda b: filter_triples(b, thr), batch_format="pyarrow")
-        return finalize_triples(inst, canonicalize=True)
+        return finalize_triples(inst)
 
     return _stage_cached(sf_dir, f"triples:{model}:{thr}", build)
 

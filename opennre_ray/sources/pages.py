@@ -20,6 +20,9 @@ from ..fixtures import page_url, render_html
 
 _EPOCH_US = 1_700_000_000_000_000  # fixed warc_ts base (2023-11-14T22:13:20Z)
 
+#: page columns without the ground-truth ``text`` (see ``read_pages``)
+PAGE_COLUMNS = ["url", "warc_ts", "html", "lang"]
+
 
 def documents_to_pages(batch: pa.Table) -> pa.Table:
     """documents(doc_id, text, lang, source) → pages(url, warc_ts, html, text, lang).
@@ -68,8 +71,7 @@ def default_num_blocks(n_rows: int, rows_per_block: int = 64) -> int:
     return max(1, min(SPLIT_BLOCK_CAP, n_rows // rows_per_block or 1))
 
 
-def read_pages(sf_dir: str, drop_text: bool = True,
-               num_blocks: int | None = None, repeat: int = 1,
+def read_pages(sf_dir: str, drop_text: bool = True, repeat: int = 1,
                docs_path: str | None = None):
     """Dataset of synthetic pages for ``sf_dir``.
 
@@ -103,8 +105,7 @@ def read_pages(sf_dir: str, drop_text: bool = True,
         ds = rd.read_parquet(path, columns=cols)
     else:
         n_rows = pq.ParquetFile(path).metadata.num_rows
-        if num_blocks is None:
-            num_blocks = min(n_rows, default_num_blocks(n_rows * repeat))
+        num_blocks = min(n_rows, default_num_blocks(n_rows * repeat))
         # override_num_blocks splits the single-row-group file into blocks at
         # the read (one SplitBlocks op) — far cheaper than a Repartition
         # operator, which costs seconds of fixed overhead per pipeline.
@@ -123,7 +124,7 @@ def read_pages(sf_dir: str, drop_text: bool = True,
         ds = ds.map_batches(replicate, batch_format="pyarrow")
     ds = ds.map_batches(documents_to_pages, batch_format="pyarrow")
     if drop_text:
-        ds = ds.select_columns(["url", "warc_ts", "html", "lang"])
+        ds = ds.select_columns(PAGE_COLUMNS)
     return ds
 
 

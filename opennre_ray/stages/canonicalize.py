@@ -81,7 +81,7 @@ class PartialSurfaceCounts:
         })
 
 
-def build_canonical_dataset(instances_ds, rows_hint: int | None = None):
+def build_canonical_dataset(instances_ds):
     """Phases 1+2: instance rows → Dataset of (norm_surface, canonical_id).
 
     Fully distributed: partial counts per batch, then ONE coarse
@@ -105,8 +105,7 @@ def build_canonical_dataset(instances_ds, rows_hint: int | None = None):
         return best.rename(columns={"entity_id": "canonical_id"})[
             ["norm_surface", "canonical_id"]]
 
-    return hash_bucket_aggregate(partials, ["norm_surface"], per_bucket,
-                                 rows_hint=rows_hint)
+    return hash_bucket_aggregate(partials, ["norm_surface"], per_bucket)
 
 
 def build_canonical_map(instances_ds) -> dict[str, str]:
@@ -146,8 +145,7 @@ class CanonicalizeIds:
 
 
 def canonicalize_ids(inst_ds, columns: list[str],
-                     broadcast_limit: int = CANON_BROADCAST_LIMIT,
-                     rows_hint: int | None = None):
+                     broadcast_limit: int = CANON_BROADCAST_LIMIT):
     """Size-gated phase 3: rewrite h_id/t_id to canonical ids.
 
     Under ``broadcast_limit`` distinct surfaces: collect the map once,
@@ -158,8 +156,7 @@ def canonicalize_ids(inst_ds, columns: list[str],
     """
     import ray
 
-    canon_ds = build_canonical_dataset(inst_ds, rows_hint=rows_hint) \
-        .materialize()
+    canon_ds = build_canonical_dataset(inst_ds).materialize()
     n_surfaces = canon_ds.count()
 
     if n_surfaces <= broadcast_limit:
@@ -193,7 +190,7 @@ def canonicalize_ids(inst_ds, columns: list[str],
     carry = [c for c in columns if c != "h_id"] + ["_t_norm"]
     joined_h = shuffle_join(
         with_norms, canon_ds, "_h_norm", "norm_surface",
-        carry, ["canonical_id"], rows_hint=rows_hint)
+        carry, ["canonical_id"])
 
     def set_h(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(h_id=df["canonical_id"])
@@ -203,7 +200,7 @@ def canonicalize_ids(inst_ds, columns: list[str],
     carry_t = [c for c in columns if c != "t_id"]
     joined_t = shuffle_join(
         joined_h, canon_ds, "_t_norm", "norm_surface",
-        carry_t, ["canonical_id"], rows_hint=rows_hint)
+        carry_t, ["canonical_id"])
 
     def set_t(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(t_id=df["canonical_id"])

@@ -1,12 +1,14 @@
-"""Sentence split + gazetteer NER + candidate entity linking (actor stage).
+"""Sentence split + gazetteer NER + candidate entity linking.
 
 The reference only *declares* the NER surface (``opennre/model/base_model.py:
 59-71`` — ``NER.ner()`` is an unimplemented hook; OpenNRE assumes ``h``/``t``
 mentions are given). The KG build supplies its own mention detection behind
 the same ``[{name, pos}]`` contract: a pinned alias table (surface → entity
-id) compiled once per actor into a leftmost-longest regex, applied per
-sentence. At 100 TB the alias table is broadcast once via ``ray.put`` and
-read in each actor's ``__init__`` — never re-shipped per batch.
+id) compiled into a leftmost-longest regex, applied per sentence. The
+pipeline runs ``SentenceMentions`` as stateless tasks through
+``mentions_udf``, which compiles the table once per worker process; at
+100 TB the alias table is broadcast once via ``ray.put`` and read into that
+per-worker cache — never re-shipped per batch.
 """
 
 from __future__ import annotations
@@ -157,11 +159,11 @@ def mentions_udf(alias_ref=None, max_sent_tokens: int = MAX_SENT_TOKENS):
 
 
 class SentenceMentions:
-    """Actor-pool map_batches stage: pages+text → mention-annotated sentences.
+    """map_batches stage: pages+text → mention-annotated sentences.
 
     Emits one row per sentence that has ≥2 mentions (anything less can't
-    produce a relation instance). Alias table state is built once per actor;
-    pass ``alias_ref`` (a ``ray.put`` ObjectRef) to share one copy per node.
+    produce a relation instance). Alias table state is built once per
+    instance (once per worker via ``mentions_udf``); pass ``alias_ref`` (a ``ray.put`` ObjectRef) to share one copy per node.
     """
 
     def __init__(self, alias_ref=None, max_sent_tokens: int = MAX_SENT_TOKENS):

@@ -1,4 +1,4 @@
-"""Relation scoring stages (actor pools holding model weights).
+"""Relation scoring stages (model weights cached per worker process).
 
 Two granularities:
 
@@ -9,9 +9,10 @@ Two granularities:
   uses: instance rows in, instance rows + (pred_rel, score, model_hash) out.
   Fusing avoids materializing (N, L) int arrays in the object store between
   two stages; tokenization is <10% of forward cost, so the fusion loses no
-  parallelism while halving object-store traffic. Weights are built once per
-  actor in ``__init__`` (reference loads them once per process too:
-  ``pretrain.py:147``).
+  parallelism while halving object-store traffic. The pipeline runs it as
+  stateless tasks through ``scorer_udf``: weights are built once per worker
+  process and kept in ``_WORKER_CACHE`` (reference loads them once per
+  process too: ``pretrain.py:147``).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def score_matrix_udf(model_name: str = "wiki80_cnn_sigmoid",
 
 
 class RelationScorer:
-    """Fused encode → forward → softmax head actor stage.
+    """Fused encode → forward → softmax head stage.
 
     Emits one scored row per instance: the sentence-level equivalent of the
     reference's ``infer()`` loop (``softmax_nn.py:28-39``) vectorized over a

@@ -8,9 +8,11 @@ data-plane resume at all (only best-model checkpoints,
 
 Design (batch-pipeline resume, SURVEY §4):
 - the corpus is processed as named shards (one input file / key range each);
-- each shard's output goes to ``<out>/shard=<name>/`` written ATOMICALLY
-  (write to ``_tmp-<name>``, fsync, rename) + a ``manifest.json`` recording
-  input path, row count, stage counters, model hash, extractor version;
+- every output directory — each ``<out>/shard=<name>/`` and the jobs'
+  compacted outputs — goes through ``publish``: written to a tmp dir,
+  fsynced, renamed into place; a shard also carries a ``manifest.json``
+  (written last) recording input path, row count, stage counters, model
+  hash, extractor version;
 - a restart lists completed manifests and skips those shards — exactly-once
   output without any coordination service.
 """
@@ -21,6 +23,8 @@ import json
 import os
 import shutil
 import time
+
+import pyarrow.parquet as pq
 
 
 class ShardManifest:
@@ -59,51 +63,78 @@ def completed_shards(out_root: str) -> list[str]:
     return out
 
 
+def _fsync(path: str):
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def publish(out_root: str, name: str, write) -> str:
+    """Atomically replace ``<out_root>/<name>`` with what ``write(tmp)``
+    puts into a fresh directory; returns the published path.
+
+    Every file ``write`` left in ``tmp`` and ``tmp`` itself are fsynced
+    before the rename, so a crash after it can never expose a
+    complete-looking directory with truncated contents. The previous
+    output is renamed aside, not deleted, before ``tmp`` takes its place;
+    a crash between the two renames leaves no ``<name>`` at all, and
+    callers recover by rerunning: a shard without its manifest is redone
+    on resume, and compaction rebuilds from the candidate shards.
+    ``_tmp-<name>-<pid>`` / ``_old-<name>-<pid>`` dirs that crashed runs
+    left behind (under any pid) are swept first.
+    """
+    os.makedirs(out_root, exist_ok=True)
+    for entry in os.listdir(out_root):
+        for prefix in (f"_tmp-{name}-", f"_old-{name}-"):
+            if entry.startswith(prefix) and entry[len(prefix):].isdigit():
+                shutil.rmtree(os.path.join(out_root, entry),
+                              ignore_errors=True)
+    final = os.path.join(out_root, name)
+    tmp = os.path.join(out_root, f"_tmp-{name}-{os.getpid()}")
+    old = os.path.join(out_root, f"_old-{name}-{os.getpid()}")
+    os.makedirs(tmp)
+    write(tmp)
+    for dirpath, _, files in os.walk(tmp, topdown=False):
+        for f in files:
+            _fsync(os.path.join(dirpath, f))
+        _fsync(dirpath)
+    if os.path.exists(final):
+        os.rename(final, old)
+    os.rename(tmp, final)
+    _fsync(out_root)
+    shutil.rmtree(old, ignore_errors=True)
+    return final
+
+
 def write_shard(ds, out_root: str, shard: str, manifest):
     """Atomically write one shard's Dataset + manifest; idempotent.
 
     If the shard is already complete this is a no-op (resume path).
     ``manifest`` may be a ShardManifest or a zero-arg callable returning one
     — callables are invoked AFTER the data is written, so manifests can
-    snapshot post-execution state (stage counters).
+    snapshot post-execution state (stage counters). A part file whose
+    footer cannot be read fails the shard: nothing is published, so the
+    next run redoes it.
     """
     if is_shard_complete(out_root, shard):
         return False
-    final = shard_dir(out_root, shard)
-    tmp = os.path.join(out_root, f"_tmp-{shard}-{os.getpid()}")
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    ds.write_parquet(tmp)
-    if callable(manifest):
-        manifest = manifest()
-    manifest.data["completed_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                  time.gmtime())
-    parts = [f for f in os.listdir(tmp) if f.endswith(".parquet")]
-    manifest.data["num_files"] = len(parts)
-    try:
-        import pyarrow.parquet as pq
-        manifest.data["num_rows"] = sum(
+
+    def write(tmp):
+        ds.write_parquet(tmp)
+        m = manifest() if callable(manifest) else manifest
+        m.data["completed_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                               time.gmtime())
+        parts = [f for f in os.listdir(tmp) if f.endswith(".parquet")]
+        m.data["num_files"] = len(parts)
+        m.data["num_rows"] = sum(
             pq.ParquetFile(os.path.join(tmp, f)).metadata.num_rows
             for f in parts)
-    except Exception:
-        manifest.data["num_rows"] = None
-    mpath = os.path.join(tmp, "manifest.json")
-    with open(mpath, "w") as fh:
-        fh.write(manifest.to_json())
-        fh.flush()
-        os.fsync(fh.fileno())
-    # sync the tmp directory so file entries are durable before the rename
-    # publishes the shard (a crash after rename must not expose a complete-
-    # looking shard with missing contents)
-    dfd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    finally:
-        os.close(dfd)
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.rename(tmp, final)
+        with open(os.path.join(tmp, "manifest.json"), "w") as fh:
+            fh.write(m.to_json())
+
+    publish(out_root, f"shard={shard}", write)
     return True
 
 
@@ -127,22 +158,3 @@ def run_sharded(shards: dict[str, "callable"], out_root: str,
                     lambda name=name: make_manifest(name))
         completed.append(name)
     return {"completed": completed, "skipped": skipped}
-
-
-class StageCounters:
-    """Cheap per-stage row counters carried through batch UDF closures.
-
-    Counters are *per-manifest* aggregates: stages report rows-in/rows-out
-    per batch into a plain dict the driver merges at shard close. (Local-mode
-    substitute for Ray metrics; keys surface in manifests.)
-    """
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-
-    def add(self, key: str, n: int):
-        self.counts[key] = self.counts.get(key, 0) + int(n)
-
-    def merge(self, other: dict):
-        for k, v in other.items():
-            self.add(k, v)

@@ -216,3 +216,109 @@ def test_chaos_midwrite_crash_then_resume(ray_session, shards, tmp_path,
 
     pd.testing.assert_frame_equal(read_triples(out), read_triples(clean))
     assert read_counters(out) == read_counters(clean)
+
+
+def test_publish_fsyncs_parquet_before_rename(ray_session, sf_dir, tmp_path,
+                                              monkeypatch):
+    """Durability: every parquet file of a published candidate shard and
+    of the compacted graph is fsynced before the rename that publishes
+    it — a crash after the rename can never expose truncated parts."""
+    events = []
+    real_fsync, real_rename = os.fsync, os.rename
+
+    def fsync(fd):
+        events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+        return real_fsync(fd)
+
+    def rename(src, dst):
+        events.append(("rename", os.path.realpath(src),
+                       os.path.realpath(dst)))
+        return real_rename(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "rename", rename)
+    out = str(tmp_path / "kg")
+    res = run_kg_job({"all": os.path.join(sf_dir, "documents.parquet")}, out)
+    monkeypatch.undo()
+
+    for final in (_cand_dir(out, "all"), res["triples_dir"]):
+        final = os.path.realpath(final)
+        parts = [f for f in os.listdir(final) if f.endswith(".parquet")]
+        assert parts, final
+        i = next(i for i, e in enumerate(events)
+                 if e[0] == "rename" and e[2] == final)
+        src = events[i][1]
+        synced = {e[1] for e in events[:i] if e[0] == "fsync"}
+        assert {os.path.join(src, f) for f in parts} | {src} <= synced
+
+
+def test_unreadable_part_fails_shard(ray_session, tmp_path, monkeypatch):
+    """A part file whose footer cannot be read fails the shard: no
+    manifest is published (so resume redoes it), never num_rows=null."""
+    import pyarrow.parquet as pq_mod
+    import ray.data as rd
+
+    from opennre_ray.state.lineage import ShardManifest, write_shard
+
+    def unreadable(*a, **kw):
+        raise OSError("unreadable parquet footer")
+
+    monkeypatch.setattr(pq_mod, "ParquetFile", unreadable)
+    out = str(tmp_path / "out")
+    with pytest.raises(OSError, match="unreadable parquet footer"):
+        write_shard(rd.range(10), out, "s0",
+                    ShardManifest("s0", input_path="in/s0"))
+    assert not [n for n in os.listdir(out) if n.startswith("shard=")]
+
+
+def test_job_sweeps_stale_tmp_dirs_of_other_pids(ray_session, shards,
+                                                  tmp_path):
+    """Leftovers of a crashed run under another pid are swept when the
+    shard is redone, instead of piling up under candidates/."""
+    out = str(tmp_path / "kg")
+    name = os.path.splitext(os.path.basename(shards[0]))[0]
+    cdir = os.path.join(out, "candidates")
+    stale = [os.path.join(cdir, f"{kind}-shard={name}-{os.getpid() + 1}")
+             for kind in ("_tmp", "_old")]
+    for d in stale:
+        os.makedirs(d)
+        open(os.path.join(d, "part-0.parquet"), "w").close()
+    res = run_kg_job(shards[:1], out, compact=False)
+    assert res["completed"] == [name]
+    assert sorted(os.listdir(cdir)) == [f"shard={name}"]
+
+
+def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
+                                                    tmp_path, monkeypatch):
+    """The traced benchmark run (perfbench/tracing.py::patch_layers)
+    swaps these module attributes for timing wrappers; the job and the
+    compaction must reach each through its module at call time, and
+    ``_counted`` must see the candidate chain's stage names in order."""
+    from opennre_ray.functions import relational
+    from opennre_ray.pipelines import job, kg
+    from opennre_ray.state import lineage
+
+    calls = {}
+
+    def record(mod, name):
+        orig = getattr(mod, name)
+
+        def wrapped(*a, **kw):
+            calls.setdefault(name, []).append(a)
+            return orig(*a, **kw)
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    hooks = [(job, "_counted"), (kg, "materialize_graph"),
+             (kg, "finalize_triples"), (kg, "canonicalize_ids"),
+             (lineage, "write_shard"), (relational, "hash_bucket_aggregate")]
+    for mod, name in hooks:
+        record(mod, name)
+    out = str(tmp_path / "kg")
+    job.run_kg_job({"all": os.path.join(sf_dir, "documents.parquet")}, out,
+                   compact=False)
+    job.compact_candidates(out)
+
+    assert [name for _, name in hooks if not calls.get(name)] == []
+    assert [a[2] for a in calls["_counted"]] == [
+        "pages", "extract", "mentions", "pairs", "score", "filter"]
