@@ -135,6 +135,15 @@ class CnnSentenceEncoder:
     (M1). Weights is a dict with torch-layout arrays:
     ``word_emb (V, word)``, ``pos1_emb/pos2_emb (2L, pos)``,
     ``conv_w (H, word+2*pos, K)``, ``conv_b (H,)``.
+
+    The conv runs one GEMM per DISTINCT ``(token, pos1, pos2)`` row of the
+    batch, then K shifted row-gathers (``_conv_forward``); it is
+    bit-identical to ``nn.conv1d`` over ``_embed`` at any batch size.
+    Scratch per encoder, at B = ``RelationScorer.CHUNK`` = 256 rows of
+    L = 40, H = 230: two (B, L, H) float32 buffers (9.4 MB each) plus the
+    distinct-row GEMM input and output, (U+1, C) and (U+1, K·H) — 8.7 MB
+    at the largest U (28% of B·L) among the kg_build benchmark's chunks;
+    ~28 MB in all.
     """
 
     with_mask = False
@@ -146,35 +155,28 @@ class CnnSentenceEncoder:
             self.token2id["[UNK]"] = len(self.token2id)
         if "[PAD]" not in self.token2id:
             self.token2id["[PAD]"] = len(self.token2id)
-        self.w = {k: np.asarray(v, dtype=np.float32) for k, v in weights.items()}
         self.max_length = max_length
         self.hidden_size = hidden_size
         self.mask_entity = mask_entity
         self.kernel_padding = kernel_padding
-        # kernels concatenated side-by-side for the single-GEMM conv
-        # (see _conv_forward); computed once per process. RNN/LSTM
-        # subclasses carry no conv weights.
-        if "conv_w" in self.w:
-            cw = self.w["conv_w"]                   # (H, C, K)
-            self._wcat = np.ascontiguousarray(
-                cw.transpose(1, 2, 0).reshape(cw.shape[1], -1))  # (C, K*H)
-        self._scratch: dict = {}
+        self.load_weights(weights)
 
     def load_weights(self, weights: dict):
-        """Replace ALL weights and re-derive cached views.
+        """Replace ALL weights and re-derive everything computed from them.
 
-        Assigning ``encoder.w`` directly leaves ``_wcat`` (the
-        GEMM-concatenated conv kernel computed in ``__init__``) pointing at
-        the OLD conv weights — embeddings update, the conv doesn't, and
-        inference silently degrades. Checkpoint restore must go through
-        here (the trainer refreshes ``_wcat`` itself after each step).
+        The one weight-refresh path: ``__init__``, checkpoint restore and
+        the trainer's per-step sync all come through here. Assigning
+        ``encoder.w`` directly would leave ``_wcat`` (the conv kernels
+        side by side, ``(C, K*H)``, for the single-GEMM conv) on the OLD
+        conv weights. RNN/LSTM subclasses carry no conv weights.
         """
         self.w = {k: np.asarray(v, dtype=np.float32)
                   for k, v in weights.items()}
         if "conv_w" in self.w:
-            cw = self.w["conv_w"]
+            cw = self.w["conv_w"]                   # (H, C, K)
             self._wcat = np.ascontiguousarray(
                 cw.transpose(1, 2, 0).reshape(cw.shape[1], -1))
+        self._scratch = {}
         return self
 
     def encode_batch(self, texts, h_pos, t_pos, token_lists=None):
@@ -189,14 +191,33 @@ class CnnSentenceEncoder:
              self.w["pos2_emb"][pos2]], axis=-1,
         ).astype(np.float32)
 
-    def _conv_forward(self, token, pos1, pos2):
-        """Embed + conv with per-shape scratch buffers → (B, Lout, H).
+    def _buf(self, name, n, *shape):
+        """First ``n`` rows of the float32 scratch buffer ``name``, grown to
+        the largest ``n`` seen. Under tens of concurrent worker processes,
+        fresh multi-MB allocations per batch cost more than the FLOPs
+        (page faults + kernel zeroing serialize on the memory subsystem),
+        and blocks end in ragged chunks, so buffers are sized by capacity,
+        not per batch shape."""
+        buf = self._scratch.get(name)
+        if buf is None or len(buf) < n or buf.shape[1:] != shape:
+            buf = self._scratch[name] = np.empty((n,) + shape, np.float32)
+        return buf[:n]
 
-        Every large temporary (padded embed matrix, GEMM output, conv
-        accumulator) is reused across calls: under tens of concurrent
-        worker processes, fresh 10-60 MB allocations per batch cost more
-        than the FLOPs (page faults + kernel zeroing serialize on the
-        memory subsystem).
+    def _conv_forward(self, token, pos1, pos2):
+        """Embed + conv → (B, Lout, H), one GEMM per distinct input row.
+
+        Each embedded row is a pure function of ``(token, pos1, pos2)``,
+        and [PAD] positions past the sentence are all ``([PAD], 0, 0)``:
+        on the benchmark's pairs only 26% of the B·L rows are distinct.
+        So: key every position, embed and multiply the U distinct rows
+        once (``zu = xu @ _wcat``, (U, K·H)), append a zero row for the
+        conv's zero padding, and sum the K shifted gathers
+        ``y[b, l] = ((Z0[r(b, l)] + Z1[r(b, l+1)]) + Z2[r(b, l+2)]) + conv_b``
+        where ``Zj`` is the j-th H-wide block of ``zu``. Each GEMM row,
+        and the add order, is the one ``nn.conv1d`` computes for that
+        position, so the output is bit-identical to it at any batch size.
+
+        Returns a view of a scratch buffer, overwritten by the next call.
         """
         w = self.w
         B, L = token.shape
@@ -204,40 +225,45 @@ class CnnSentenceEncoder:
         pad = self.kernel_padding
         Lp = L + 2 * pad
         Lout = Lp - K + 1
-        # capacity-based scratch: one buffer set per worker, sliced to the
-        # current batch size (blocks produce ragged last chunks — per-size
-        # buffers would reallocate tens of MB per distinct size)
-        sc = self._scratch
-        if not sc or sc["cap"] < B:
-            cap = max(B, 1024)
-            sc.clear()
-            sc.update(
-                cap=cap,
-                x=np.zeros((cap, Lp, C), np.float32),
-                z=np.zeros((cap * Lp, K * H), np.float32),
-                y=np.zeros((cap, Lout, H), np.float32),
-                seg=np.zeros((cap, Lout, H), np.float32),
-            )
-        x = sc["x"][:B]
-        z2d = sc["z"][: B * Lp]
-        y = sc["y"][:B]
+        npos = max(len(w["pos1_emb"]), len(w["pos2_emb"]))
+        key = (token.astype(np.int64) * npos + pos1) * npos + pos2
+        ukey, inv = np.unique(key, return_inverse=True)
+        U = len(ukey)
+        tok_u, pos_u = np.divmod(ukey, npos * npos)
+        p1_u, p2_u = np.divmod(pos_u, npos)
         wd = w["word_emb"].shape[1]
         pd = w["pos1_emb"].shape[1]
-        xi = x[:, pad: pad + L, :]
-        np.take(w["word_emb"], token, axis=0, out=xi[:, :, :wd])
-        np.take(w["pos1_emb"], pos1, axis=0, out=xi[:, :, wd: wd + pd])
-        np.take(w["pos2_emb"], pos2, axis=0, out=xi[:, :, wd + pd:])
-        np.matmul(x.reshape(B * Lp, C), self._wcat, out=z2d)
-        z = z2d.reshape(B, Lp, K, H)
-        np.copyto(y, z[:, 0:Lout, 0])
+        # GEMM rows: the U distinct rows, then one zero row (row U) for
+        # the conv's zero padding. It must be the LAST row: OpenBLAS
+        # computes the last row of an odd-row GEMM with a 1-row kernel
+        # that sums in another order, and numpy sends a 1-row product to
+        # gemv; a zero row is 0 either way.
+        xu = self._buf("x", U + 1, C)
+        np.take(w["word_emb"], tok_u, axis=0, out=xu[:U, :wd])
+        np.take(w["pos1_emb"], p1_u, axis=0, out=xu[:U, wd: wd + pd])
+        np.take(w["pos2_emb"], p2_u, axis=0, out=xu[:U, wd + pd:])
+        xu[U] = 0.0
+        zu = self._buf("z", U + 1, K * H)
+        np.matmul(xu, self._wcat, out=zu)
+        # row r of Zj is row r*K + j of zu viewed as (U+1)*K rows of H
+        rows = np.full((B, Lp), U * K, np.intp)
+        rows[:, pad: pad + L] = inv.reshape(B, L) * K
+        zrows = zu.reshape(-1, H)
+        y = self._buf("y", B, Lout, H)
+        tmp = self._buf("tmp", B, Lout, H)
+        # mode="clip": every index is in range, and the default "raise"
+        # buffers ``out`` through a temporary copy
+        np.take(zrows, rows[:, :Lout], axis=0, out=y, mode="clip")
         for j in range(1, K):
-            np.add(y, z[:, j: j + Lout, j], out=y)
+            np.take(zrows, rows[:, j: j + Lout] + j, axis=0, out=tmp,
+                    mode="clip")
+            np.add(y, tmp, out=y)
         y += w["conv_b"]
         return y
 
     def forward(self, token, pos1, pos2):
         y = self._conv_forward(token, pos1, pos2)                # (B, L, H)
-        return np.maximum(y, 0.0).max(axis=1)                    # (B, H)
+        return np.maximum(y, 0.0, out=y).max(axis=1)             # (B, H)
 
     def __call__(self, enc: dict) -> np.ndarray:
         return self.forward(enc["token"], enc["pos1"], enc["pos2"])
@@ -259,7 +285,8 @@ class PcnnSentenceEncoder(CnnSentenceEncoder):
 
     def forward(self, token, pos1, pos2, mask=None):
         conv = self._conv_forward(token, pos1, pos2)             # (B, L, H)
-        tmp = self._scratch["seg"][: len(conv)]
+        # the conv's gather buffer is free once it returns
+        tmp = self._buf("tmp", *conv.shape)
         pools = []
         for seg in (1, 2, 3):
             off = (self._MINUS * (1.0 - (mask == seg))).astype(np.float32)  # (B, L)
@@ -459,6 +486,11 @@ class SoftmaxHead:
         self.id2rel = {v: k for k, v in rel2id.items()}
 
     def logits(self, rep: np.ndarray) -> np.ndarray:
+        # numpy sends a 1-row product to gemv, which sums in another
+        # order than the batched GEMM: score a lone row as two rows
+        if len(rep) == 1:
+            return nn.linear(np.concatenate([rep, rep]), self.fc_w,
+                             self.fc_b)[:1]
         return nn.linear(rep, self.fc_w, self.fc_b)
 
     def scores(self, rep: np.ndarray) -> np.ndarray:

@@ -103,8 +103,8 @@ class BucketBagScorer:
     instead of once per tiny bag.
     """
 
-    # numeric chunk size for encode/forward — same ~50 MB per-worker
-    # working-set bound as RelationScorer.CHUNK (see stages/score.py)
+    # numeric chunk size for encode/forward — same ~28 MB per-worker conv
+    # scratch as RelationScorer.CHUNK (see stages/score.py)
     CHUNK = 256
 
     def __init__(self, model_name: str = "nyt10_pcnn_att",

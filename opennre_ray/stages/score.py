@@ -114,16 +114,21 @@ class RelationScorer:
 
     # Numeric chunk size, independent of Ray task granularity: blocks are
     # sliced internally so a big fused-task block never materializes the
-    # full (N, L) id arrays / conv activations at once. 256 keeps the conv
-    # scratch working set ~50 MB per worker — measured 5-7x faster than
-    # 1024 (~190 MB) under 32 concurrent workers (cache pressure + huge-page
-    # first-touch stalls dominate above that).
+    # full (N, L) id arrays / conv activations at once. At 256 rows the
+    # conv scratch is ~28 MB per worker (two 9.4 MB (B, L, H) buffers + the
+    # ~8 MB distinct-row GEMM output, see CnnSentenceEncoder); working sets
+    # of ~190 MB ran 5-7x slower under 32 concurrent workers (cache
+    # pressure + huge-page first-touch stalls).
     CHUNK = 256
 
     def __init__(self, model_name: str = "wiki80_cnn_softmax",
                  rel2id: dict | None = None):
         self.model = get_model(model_name, rel2id=rel2id)
         self.id2rel = self.model.id2rel
+        # id → name as one object array, indexed by the whole pred vector
+        self._rel_names = np.empty(max(self.id2rel) + 1, dtype=object)
+        for rid, rel in self.id2rel.items():
+            self._rel_names[rid] = rel
         self._hash = self.model.model_hash
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -173,9 +178,9 @@ class RelationScorer:
     def _score_chunk(self, batch: pa.Table) -> pa.Table:
         rep = self._rep(batch)
         pred, score = self.model.head.infer_batch(rep)
-        rels = np.array([self.id2rel[int(p)] for p in pred], dtype=object)
         return (batch
-                .append_column("pred_rel", pa.array(rels, pa.string()))
+                .append_column("pred_rel",
+                               pa.array(self._rel_names[pred], pa.string()))
                 .append_column("score", pa.array(score.astype(np.float32),
                                                  pa.float32()))
                 .append_column("model_hash",

@@ -373,12 +373,9 @@ class CnnSoftmaxTrainer:
     def _sync(self):
         """Push updated params back into the eval-path weight dicts."""
         enc = self.model.encoder
-        for k in ("word_emb", "pos1_emb", "pos2_emb", "conv_w", "conv_b"):
-            enc.w[k] = self.params[k]
-        enc._wcat = np.ascontiguousarray(
-            self.params["conv_w"].transpose(1, 2, 0).reshape(
-                self.params["conv_w"].shape[1], -1))
-        enc._scratch.clear()
+        enc.load_weights({**enc.w, **{
+            k: self.params[k]
+            for k in ("word_emb", "pos1_emb", "pos2_emb", "conv_w", "conv_b")}})
         self.model.head.fc_w = self.params["fc_w"]
         self.model.head.fc_b = self.params["fc_b"]
 

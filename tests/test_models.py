@@ -156,6 +156,91 @@ def test_cnn_pipeline_batch_equals_single():
         np.testing.assert_allclose(rep[i], rep1[0], rtol=1e-5, atol=1e-6)
 
 
+def _random_rows(n, seed):
+    """n (text, head span, tail span) rows of vocabulary words plus a few
+    out-of-vocabulary ones; about a third put the tail before the head."""
+    rng = np.random.default_rng(seed)
+    words = sorted(default_word2id()) + ["zebra", "quasar"]
+    texts, h, t = [], [], []
+    for _ in range(n):
+        toks = list(rng.choice(words, size=int(rng.integers(2, 30))))
+        starts = np.cumsum([0] + [len(w) + 1 for w in toks[:-1]])
+        i, j = sorted(rng.choice(len(toks), size=2, replace=False))
+        spans = [(starts[k], starts[k] + len(toks[k])) for k in (i, j)]
+        if rng.random() < 0.35:
+            spans.reverse()
+        texts.append(" ".join(toks))
+        h.append(spans[0])
+        t.append(spans[1])
+    return texts, np.array(h), np.array(t)
+
+
+def _conv_batch(encoder, n, seed=0):
+    """Encoded batch of n ≥ 3 rows: row 0 is all ``([PAD], 0, 0)``, row 1
+    an over-long token list truncated to ``max_length`` with the tail
+    before the head, row 2 three distinct non-zero input rows and no
+    padding (alone, an odd GEMM row count whose last row is not zero),
+    the rest ``_random_rows``."""
+    texts, h, t = _random_rows(n, seed)
+    L = encoder.max_length
+    token_lists = [None] * n
+    token_lists[1] = ["data"] * (L + 20)
+    h[1], t[1] = (L + 5, L + 7), (2, 3)
+    enc = encoder.encode_batch(texts, h, t, token_lists=token_lists)
+    assert (enc["token"][1] == encoder.token2id["data"]).all()
+    enc["token"][0] = encoder.token2id["[PAD]"]
+    enc["pos1"][0] = 0
+    enc["pos2"][0] = 0
+    enc["token"][2] = encoder.token2id["data"]
+    enc["pos1"][2] = 1 + np.arange(L) % 3
+    enc["pos2"][2] = 1
+    return enc
+
+
+@pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax"])
+def test_conv_forward_bit_exact_vs_conv1d(name):
+    """The distinct-row conv equals nn.conv1d over the full embedding
+    bit for bit: on a ragged 257-row batch and per row (B=1), including
+    the all-[PAD], truncated, tail-before-head and odd-distinct-count
+    rows of ``_conv_batch``."""
+    enc = get_model(name).encoder
+    w = enc.w
+    batch = _conv_batch(enc, 257)
+
+    def check(sl):
+        tok, p1, p2 = batch["token"][sl], batch["pos1"][sl], batch["pos2"][sl]
+        want = nn.conv1d(enc._embed(tok, p1, p2), w["conv_w"], w["conv_b"],
+                         enc.kernel_padding)
+        assert np.array_equal(enc._conv_forward(tok, p1, p2), want)
+
+    check(slice(None))
+    for i in range(8):
+        check(slice(i, i + 1))
+    check(slice(0, 3))
+
+
+@pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax"])
+def test_scorer_rows_independent_of_batch(name):
+    """Every row's (pred_rel, score) is the same scored alone as inside a
+    300-row batch (chunks of 256 and 44 rows): the distinct-row conv
+    shares GEMM rows across the batch, and the head scores a lone row
+    through the batched GEMM, not gemv."""
+    import pyarrow as pa
+
+    from opennre_ray.stages.score import RelationScorer
+
+    texts, h, t = _random_rows(300, seed=3)
+    batch = pa.table({"text": texts,
+                      "h_start": h[:, 0], "h_end": h[:, 1],
+                      "t_start": t[:, 0], "t_end": t[:, 1]})
+    scorer = RelationScorer(name)
+    together = scorer(batch)
+    alone = pa.concat_tables(scorer(batch.slice(i, 1))
+                             for i in range(batch.num_rows))
+    for col in ("pred_rel", "score"):
+        assert together.column(col).equals(alone.column(col))
+
+
 def test_pcnn_segments_differ_from_cnn():
     m = get_model("wiki80_pcnn_softmax")
     assert m.encoder.hidden_size == 690

@@ -7,6 +7,7 @@ from opennre_ray import get_model
 from opennre_ray.training import (
     AverageMeter,
     CnnSoftmaxTrainer,
+    PcnnSoftmaxTrainer,
     SgdOptimizer,
     class_weights,
     fix_seed,
@@ -133,7 +134,7 @@ def test_train_sentence_re_dispatches_pcnn(ray_session):
     assert len(hist) == 2 and hist[1]["loss"] < hist[0]["loss"]
 
 
-def test_checkpoint_restore_refreshes_conv_cache():
+def test_checkpoint_restore_refreshes_conv_cache(tmp_path):
     """Restoring weights into a FRESH model must reproduce the saved
     model's predictions exactly — assigning `.w` without re-deriving the
     GEMM-concatenated conv kernel (_wcat) silently kept the old conv."""
@@ -147,11 +148,12 @@ def test_checkpoint_restore_refreshes_conv_cache():
     rep = model.encoder(enc)
     want_pred, want_score = model.head.infer_batch(rep)
 
-    save_checkpoint("/tmp/ck_wcat_test", {"enc": model.encoder.w,
-                                          "fc_w": model.head.fc_w,
-                                          "fc_b": model.head.fc_b})
+    ck = str(tmp_path / "ck_wcat_test")
+    save_checkpoint(ck, {"enc": model.encoder.w,
+                         "fc_w": model.head.fc_w,
+                         "fc_b": model.head.fc_b})
     fresh = get_model("wiki80_cnn_softmax")
-    w = load_checkpoint("/tmp/ck_wcat_test")
+    w = load_checkpoint(ck)
     fresh.encoder.load_weights(w["enc"])
     fresh.head.fc_w = np.asarray(w["fc_w"], dtype=np.float32)
     fresh.head.fc_b = np.asarray(w["fc_b"], dtype=np.float32)
@@ -160,6 +162,26 @@ def test_checkpoint_restore_refreshes_conv_cache():
     got_pred, got_score = fresh.head.infer_batch(rep2)
     assert (got_pred == want_pred).all()
     np.testing.assert_allclose(got_score, want_score, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax"])
+def test_trained_encoder_equals_fresh_load(name):
+    """After training steps the eval encoder is exactly a fresh model
+    loaded with the trainer's weights: the trainer's per-step sync goes
+    through the same ``load_weights`` as checkpoint restore."""
+    fix_seed(3)
+    model = get_model(name)
+    trainer_cls = (PcnnSoftmaxTrainer if model.encoder.with_mask
+                   else CnnSoftmaxTrainer)
+    trainer = trainer_cls(model, optimizer=SgdOptimizer(0.5))
+    enc, labels = _enc_batch(model, TEXTS)
+    model.encoder(enc)                      # scratch sized before training
+    for _ in range(3):
+        trainer.train_step(enc, labels)
+    enc_keys = ("word_emb", "pos1_emb", "pos2_emb", "conv_w", "conv_b")
+    fresh = get_model(name).encoder.load_weights(
+        {k: trainer.params[k].copy() for k in enc_keys})
+    assert np.array_equal(model.encoder(enc), fresh(enc))
 
 
 def test_linear_warmup_schedule_matches_reference():
