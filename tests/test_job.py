@@ -22,6 +22,45 @@ def _cand_dir(out, name):
     return os.path.join(out, "candidates", f"shard={name}")
 
 
+def _name(path):
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def read_triples(out):
+    import pandas as pd
+
+    tdir = os.path.join(out, "triples")
+    files = sorted(f for f in os.listdir(tdir) if f.endswith(".parquet"))
+    return (pd.concat([pq.read_table(os.path.join(tdir, f)).to_pandas()
+                       for f in files])
+            .sort_values(["subj", "pred", "obj"])
+            .reset_index(drop=True)) if files else pd.DataFrame()
+
+
+def _poisoned_chain(target, sentinel=None):
+    """``kg.candidate_stages`` whose last stage raises on the rows of
+    ``target`` (while ``sentinel`` exists, when one is given)."""
+    import opennre_ray.pipelines.kg as kg_mod
+    from opennre_ray.sources.pages import documents_to_pages
+
+    orig = kg_mod.candidate_stages
+    urls = set(documents_to_pages(pq.read_table(target))
+               .column("url").to_pylist())
+
+    def poisoned(*a, **kw):
+        *head, (name, fn) = orig(*a, **kw)
+
+        def boom(b):
+            if (sentinel is None or os.path.exists(sentinel)) and \
+                    not urls.isdisjoint(b.column("url").to_pylist()):
+                raise RuntimeError("injected mid-write crash")
+            return fn(b)
+
+        return head + [(name, boom)]
+
+    return poisoned
+
+
 def test_job_writes_manifests_with_counters(ray_session, shards, tmp_path):
     out = str(tmp_path / "kg")
     res = run_kg_job(shards[:2], out)
@@ -153,26 +192,18 @@ def test_curation_job_resume_and_parity(ray_session, shards, tmp_path):
 
 def test_chaos_midwrite_crash_then_resume(ray_session, shards, tmp_path,
                                           monkeypatch):
-    """Kill a shard task mid-write, restart, and prove exactly-once
-    semantics: the crashed shard leaves no manifest (its partial _tmp
-    output is invisible to resume and to compaction), the restart
+    """Fail one shard's chain mid-run, restart, and prove exactly-once
+    semantics: the crashed shard leaves no manifest (its staged parts
+    are invisible to resume and to compaction), the restart
     re-runs ONLY that shard, and the final triples + per-shard manifest
     counters are identical to a never-crashed run — no double counts."""
     import pandas as pd
 
-    import opennre_ray.pipelines.job as job_mod
+    import opennre_ray.pipelines.kg as kg_mod
 
     # --- clean reference run -----------------------------------------
     clean = str(tmp_path / "clean")
     run_kg_job(shards[:2], clean)
-
-    def read_triples(out):
-        tdir = os.path.join(out, "triples")
-        files = sorted(f for f in os.listdir(tdir) if f.endswith(".parquet"))
-        return (pd.concat([pq.read_table(os.path.join(tdir, f)).to_pandas()
-                           for f in files])
-                .sort_values(["subj", "pred", "obj"])
-                .reset_index(drop=True)) if files else pd.DataFrame()
 
     def read_counters(out):
         cdir = os.path.join(out, "candidates")
@@ -185,19 +216,8 @@ def test_chaos_midwrite_crash_then_resume(ray_session, shards, tmp_path,
     sentinel = str(tmp_path / "crash-now")
     open(sentinel, "w").close()
     target = shards[1]
-    orig = job_mod.shard_candidates
-
-    def poisoned(shard_file, **kw):
-        ds = orig(shard_file, **kw)
-        if shard_file == target:
-            def boom(b):
-                if os.path.exists(sentinel):
-                    raise RuntimeError("injected mid-write crash")
-                return b
-            ds = ds.map_batches(boom, batch_format="pyarrow")
-        return ds
-
-    monkeypatch.setattr(job_mod, "shard_candidates", poisoned)
+    monkeypatch.setattr(kg_mod, "candidate_stages",
+                        _poisoned_chain(target, sentinel))
     with pytest.raises(Exception, match="injected mid-write crash"):
         run_kg_job(shards[:2], out)
 
@@ -252,13 +272,16 @@ def test_publish_fsyncs_parquet_before_rename(ray_session, sf_dir, tmp_path,
         assert {os.path.join(src, f) for f in parts} | {src} <= synced
 
 
-def test_unreadable_part_fails_shard(ray_session, tmp_path, monkeypatch):
+def test_unreadable_part_fails_shard(tmp_path, monkeypatch):
     """A part file whose footer cannot be read fails the shard: no
     manifest is published (so resume redoes it), never num_rows=null."""
+    import pyarrow as pa
     import pyarrow.parquet as pq_mod
-    import ray.data as rd
 
     from opennre_ray.state.lineage import ShardManifest, write_shard
+
+    part = str(tmp_path / "part-0.parquet")
+    pq_mod.write_table(pa.table({"id": list(range(10))}), part)
 
     def unreadable(*a, **kw):
         raise OSError("unreadable parquet footer")
@@ -266,20 +289,22 @@ def test_unreadable_part_fails_shard(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(pq_mod, "ParquetFile", unreadable)
     out = str(tmp_path / "out")
     with pytest.raises(OSError, match="unreadable parquet footer"):
-        write_shard(rd.range(10), out, "s0",
-                    ShardManifest("s0", input_path="in/s0"))
+        write_shard([part], out, "s0",
+                    ShardManifest("s0", {"input_path": "in/s0"}))
     assert not [n for n in os.listdir(out) if n.startswith("shard=")]
 
 
 def test_job_sweeps_stale_tmp_dirs_of_other_pids(ray_session, shards,
                                                   tmp_path):
-    """Leftovers of a crashed run under another pid are swept when the
-    shard is redone, instead of piling up under candidates/."""
+    """Leftovers of a crashed run under another pid (publish tmp dirs and
+    the job's staging dir) are swept when the shard is redone, instead of
+    piling up under candidates/."""
     out = str(tmp_path / "kg")
     name = os.path.splitext(os.path.basename(shards[0]))[0]
     cdir = os.path.join(out, "candidates")
     stale = [os.path.join(cdir, f"{kind}-shard={name}-{os.getpid() + 1}")
              for kind in ("_tmp", "_old")]
+    stale.append(os.path.join(cdir, f"_stage-{os.getpid() + 1}"))
     for d in stale:
         os.makedirs(d)
         open(os.path.join(d, "part-0.parquet"), "w").close()
@@ -322,3 +347,136 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
     assert [name for _, name in hooks if not calls.get(name)] == []
     assert [a[2] for a in calls["_counted"]] == [
         "pages", "extract", "mentions", "pairs", "score", "filter"]
+
+
+_CHAIN = ["pages", "extract", "mentions", "pairs", "score", "filter"]
+
+
+def test_one_execution_publishes_each_shard_whole(ray_session, shards,
+                                                   tmp_path):
+    """All pending shards run as one execution, yet every manifest holds
+    its own shard's counts: every ``{stage}.rows_in/rows_out`` key,
+    ``pages.rows_in`` equal to the input file's row count, and candidate
+    rows equal to the chain run over that shard file alone. A shard with
+    no candidates still publishes, with ``num_rows: 0``."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import (CANDIDATE_COLUMNS,
+                                          candidate_stages, map_stages)
+    from opennre_ray.sources.pages import PAGE_COLUMNS, documents_to_pages
+
+    quiet = pq.read_table(shards[0]).slice(0, 1)
+    quiet = quiet.set_column(quiet.schema.get_field_index("text"), "text",
+                             pa.array(["nothing to relate here."]))
+    empty = str(tmp_path / "quiet.parquet")
+    pq.write_table(quiet, empty)
+    inputs = shards + [empty]
+    out = str(tmp_path / "kg")
+    res = run_kg_job(inputs, out, compact=False)
+    assert res["completed"] == [_name(p) for p in inputs]
+    assert not [d for d in os.listdir(os.path.join(out, "candidates"))
+                if not d.startswith("shard=")]
+
+    key = ["url", "h_id", "t_id", "pred_rel"]
+    for path in inputs:
+        sdir = _cand_dir(out, _name(path))
+        m = json.load(open(os.path.join(sdir, "manifest.json")))
+        c = m["counters"]
+        assert {f"{s}.rows_{io}" for s in _CHAIN
+                for io in ("in", "out")} <= set(c)
+        assert c["pages.rows_in"] == pq.ParquetFile(path).metadata.num_rows
+        assert m["num_rows"] == c["filter.rows_out"]
+        assert m["input_fingerprint"]["size"] == os.path.getsize(path)
+
+        files = sorted(f for f in os.listdir(sdir) if f.endswith(".parquet"))
+        got = (pd.concat([pq.read_table(os.path.join(sdir, f)).to_pandas()
+                          for f in files]) if files
+               else pd.DataFrame(columns=CANDIDATE_COLUMNS))
+        pages = (rd.read_parquet(path,
+                                 columns=["doc_id", "text", "lang", "source"])
+                 .map_batches(documents_to_pages, batch_format="pyarrow")
+                 .select_columns(PAGE_COLUMNS))
+        want = (map_stages(pages, candidate_stages())
+                .select_columns(CANDIDATE_COLUMNS).to_pandas())
+        assert len(got) == len(want) == m["num_rows"]
+        if len(want):
+            pd.testing.assert_frame_equal(
+                got.sort_values(key).reset_index(drop=True),
+                want.sort_values(key).reset_index(drop=True),
+                check_exact=False)
+    quiet_m = json.load(open(os.path.join(_cand_dir(out, "quiet"),
+                                          "manifest.json")))
+    assert quiet_m["num_rows"] == 0 and quiet_m["counters"]["pages.rows_in"] == 1
+
+
+def test_failing_shard_does_not_block_the_others(ray_session, shards,
+                                                  tmp_path, monkeypatch):
+    """A chain error in one shard leaves that shard unpublished, lets
+    every other shard of the same execution publish, and then raises
+    with the original error text; no staged part is left behind."""
+    import opennre_ray.pipelines.kg as kg_mod
+
+    monkeypatch.setattr(kg_mod, "candidate_stages",
+                        _poisoned_chain(shards[0]))
+    out = str(tmp_path / "kg")
+    with pytest.raises(RuntimeError, match="injected mid-write crash"):
+        run_kg_job(shards[:3], out)
+    cdir = os.path.join(out, "candidates")
+    assert sorted(os.listdir(cdir)) == sorted(
+        f"shard={_name(p)}" for p in shards[1:3])
+    for p in shards[1:3]:
+        assert os.path.exists(os.path.join(_cand_dir(out, _name(p)),
+                                           "manifest.json"))
+    assert not os.path.exists(os.path.join(out, "triples"))
+
+
+def test_resume_redoes_shards_of_another_configuration(ray_session, shards,
+                                                        tmp_path):
+    """Resume never mixes configurations: a rerun with another threshold
+    redoes every shard and its graph equals a fresh run's at that
+    threshold; a changed input file (fingerprint) is redone alone."""
+    import shutil
+
+    import pandas as pd
+
+    out = str(tmp_path / "kg")
+    run_kg_job(shards, out)
+    assert len(read_triples(out))
+    res = run_kg_job(shards, out, threshold=0.99)
+    assert res["completed"] == [_name(p) for p in shards]
+    assert res["skipped"] == []
+    m = json.load(open(os.path.join(_cand_dir(out, _name(shards[0])),
+                                    "manifest.json")))
+    assert m["threshold"] == 0.99 and m["model_name"]
+    fresh = str(tmp_path / "fresh")
+    run_kg_job(shards, fresh, threshold=0.99)
+    pd.testing.assert_frame_equal(read_triples(out), read_triples(fresh))
+
+    src = str(tmp_path / "in.parquet")
+    shutil.copy(shards[1], src)
+    out2 = str(tmp_path / "kg2")
+    run_kg_job({"a": src, "b": shards[2]}, out2, compact=False)
+    st = os.stat(src)
+    os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+    res = run_kg_job({"a": src, "b": shards[2]}, out2, compact=False)
+    assert res["completed"] == ["a"] and res["skipped"] == ["b"]
+
+
+def test_compaction_reads_exactly_this_runs_shards(ray_session, shards,
+                                                    tmp_path):
+    """A rerun over 1 of 4 inputs into an out_root holding all 4 shards
+    compacts only that shard: its graph equals a fresh 1-input run's."""
+    import pandas as pd
+
+    out = str(tmp_path / "kg")
+    run_kg_job(shards, out)
+    all_four = read_triples(out)
+    res = run_kg_job(shards[:1], out)
+    assert res["skipped"] == [_name(shards[0])]
+    fresh = str(tmp_path / "fresh")
+    run_kg_job(shards[:1], fresh)
+    one = read_triples(fresh)
+    assert len(one) != len(all_four)
+    pd.testing.assert_frame_equal(read_triples(out), one)

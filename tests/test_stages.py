@@ -1,6 +1,8 @@
 """Stage-level tests: extraction byte-identity, NER, pair gen, scoring,
 canonicalization, multimodal plumbing."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -208,28 +210,42 @@ def test_multimodal_resize_and_frame_sample(ray_session, sf_dir):
 
 
 def test_lineage_resume(tmp_path, ray_session):
-    import ray.data as rd
-    from opennre_ray.state.lineage import (
-        ShardManifest, completed_shards, run_sharded)
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from opennre_ray.pipelines.job import _run_job
+    from opennre_ray.state.lineage import completed_shards
 
     out = str(tmp_path / "graph")
-    calls = []
+    shards = {}
+    for name in ("s0", "s1"):
+        shards[name] = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.table({"shard": [name] * 10}), shards[name])
+    calls_dir = tmp_path / "calls"
+    calls_dir.mkdir()
 
-    def build(name):
-        def _build():
-            calls.append(name)
-            return rd.range(10)
-        return _build
+    def record(batch):         # runs in a worker: one marker file per call
+        import uuid
+        for name in set(batch.column("shard").to_pylist()):
+            (calls_dir / f"{name}-{uuid.uuid4().hex}").touch()
+        return batch
 
-    shards = {"s0": build("s0"), "s1": build("s1")}
-    mk = lambda n: ShardManifest(n, input_path=f"in/{n}", model_hash="h")
-    r1 = run_sharded(shards, out, mk)
-    assert r1["completed"] == ["s0", "s1"] and calls == ["s0", "s1"]
-    assert completed_shards(out) == ["s0", "s1"]
+    def calls():
+        return sorted({f.split("-")[0] for f in os.listdir(calls_dir)})
+
+    def run():
+        return _run_job(shards, out, "graph", ["shard"], [("id", record)],
+                        ["shard"], lineage_items={"model_hash": "h"},
+                        finalize=None)
+
+    r1 = run()
+    n_calls = len(os.listdir(calls_dir))
+    assert r1["completed"] == ["s0", "s1"] and calls() == ["s0", "s1"]
+    assert completed_shards(os.path.join(out, "graph")) == ["s0", "s1"]
     # resume: nothing re-runs
-    r2 = run_sharded(shards, out, mk)
+    r2 = run()
     assert r2["completed"] == [] and r2["skipped"] == ["s0", "s1"]
-    assert calls == ["s0", "s1"]
+    assert calls() == ["s0", "s1"] and len(os.listdir(calls_dir)) == n_calls
 
 
 def test_top_vocab_and_oov_stats(ray_session):
