@@ -224,14 +224,20 @@ def test_lineage_resume(tmp_path, ray_session):
     calls_dir = tmp_path / "calls"
     calls_dir.mkdir()
 
-    def record(batch):         # runs in a worker: one marker file per call
+    def record(batch):   # runs in a worker: one marker per call and shard
         import uuid
-        for name in set(batch.column("shard").to_pylist()):
-            (calls_dir / f"{name}-{uuid.uuid4().hex}").touch()
+        names = batch.column("shard").to_pylist()
+        for name in set(names):
+            (calls_dir / f"{name}-{names.count(name)}-{uuid.uuid4().hex}"
+             ).touch()
         return batch
 
-    def calls():
-        return sorted({f.split("-")[0] for f in os.listdir(calls_dir)})
+    def calls():         # {shard: [rows seen by each call]}
+        seen = {}
+        for f in os.listdir(calls_dir):
+            name, rows, _ = f.split("-")
+            seen.setdefault(name, []).append(int(rows))
+        return seen
 
     def run():
         return _run_job(shards, out, "graph", ["shard"], [("id", record)],
@@ -239,13 +245,16 @@ def test_lineage_resume(tmp_path, ray_session):
                         finalize=None)
 
     r1 = run()
-    n_calls = len(os.listdir(calls_dir))
-    assert r1["completed"] == ["s0", "s1"] and calls() == ["s0", "s1"]
+    # each shard is built exactly once: its calls (one per block the read
+    # makes) see each of its 10 input rows once
+    built = calls()
+    assert r1["completed"] == ["s0", "s1"]
+    assert {n: sum(rows) for n, rows in built.items()} == {"s0": 10, "s1": 10}
     assert completed_shards(os.path.join(out, "graph")) == ["s0", "s1"]
     # resume: nothing re-runs
     r2 = run()
     assert r2["completed"] == [] and r2["skipped"] == ["s0", "s1"]
-    assert calls() == ["s0", "s1"] and len(os.listdir(calls_dir)) == n_calls
+    assert calls() == built
 
 
 def test_top_vocab_and_oov_stats(ray_session):
