@@ -203,8 +203,11 @@ def compact_candidates(out_root: str, *, model_hash: str = "",
 
     def write(tmp):
         if cand_files:
-            materialize_graph(finalize_triples(rd.read_parquet(cand_files)),
-                              tmp, model_hash=model_hash)
+            # partitioning=None: the default hive partitioning would add
+            # the `shard=<name>` dir as a `shard` column to every row
+            cands = rd.read_parquet(cand_files, partitioning=None)
+            materialize_graph(finalize_triples(cands), tmp,
+                              model_hash=model_hash)
 
     return lineage.publish(out_root, "triples", write)
 
@@ -294,7 +297,7 @@ def compact_chunks(out_root: str, *, alpha: float = 0.3, para_w: int = 10,
 
     def write(tmp):
         if filt_files:
-            ds = rd.read_parquet(filt_files)
+            ds = rd.read_parquet(filt_files, partitioning=None)
             sampled = temperature_sample(ds, "lang", "doc_id", alpha=alpha)
             cleaned = paragraph_dedup(sampled, w=para_w)
             chunks = chunk_windows(cleaned, size=chunk_size,

@@ -8,15 +8,20 @@
       → scorer_udf                 (stateless tasks; model weights cached
                                     per worker)
       → filter score ≥ τ, rel ≠ NA (vectorized arrow filter)
-      → canonicalize               (two-phase groupby + broadcast rewrite)
-      → triple dedup               (groupby (subj,pred,obj) — exact distinct,
-                                    the reference's fact-set semantics,
-                                    data_loader.py:151-164)
-      → sort(subj) → write adjacency parquet partitions + lineage manifest
+      → canonicalize               (per-block surface partials folded on
+                                    the driver + broadcast rewrite)
+      → triple dedup               (exact distinct (subj, pred, obj), the
+                                    reference's fact-set semantics,
+                                    data_loader.py:151-164: a per-block
+                                    pyarrow partial aggregate, ONE range
+                                    exchange on subj, the merge per block)
+      → write adjacency parquet partitions (already subj-ordered) +
+        manifest
 
-Every stage streams; nothing materializes the full corpus. The only wide
-operations are the two groupbys and the final sort, all over data already
-reduced by filtering/partial aggregation.
+Every stage streams; nothing materializes the full corpus. The only
+exchange is the ``sort("subj")`` inside ``finalize_triples``: it serves
+both the dedup (all rows of a triple share subj, so they share a range
+partition) and the adjacency order the graph is written in.
 """
 
 from __future__ import annotations
@@ -88,68 +93,98 @@ CANDIDATE_COLUMNS = ["h_id", "h_name", "t_id", "t_name", "pred_rel",
                      "score", "url", "model_hash"]
 
 
+#: the triple aggregate, defined once: (output column, per-block partial
+#: kernel, merge kernel). Count, max and min all decompose, so merging
+#: the per-block partials after the exchange is exact.
+_TRIPLE_KEYS = ["subj", "pred", "obj"]
+_TRIPLE_AGG = [("n_evidence", "count_all", "sum"),
+               ("score", "max", "max"),
+               ("sample_url", "min", "min"),
+               ("model_hash", "min", "min")]
+
+
+def _aggregate_triples(t: pa.Table, merge: bool) -> pa.Table:
+    """One ``group_by(_TRIPLE_KEYS)`` pass of ``_TRIPLE_AGG``: the partial
+    over candidate rows, or (``merge``) the fold of partials."""
+    fns = [(col, m if merge else p) for col, p, m in _TRIPLE_AGG]
+    out = t.group_by(_TRIPLE_KEYS, use_threads=False).aggregate(
+        [([], fn) if fn == "count_all" else (col, fn) for col, fn in fns])
+    return out.select(_TRIPLE_KEYS + [
+        fn if fn == "count_all" else f"{col}_{fn}" for col, fn in fns
+    ]).rename_columns(_TRIPLE_KEYS + [col for col, _ in fns])
+
+
+def _partial_triples(batch: pa.Table) -> pa.Table:
+    """Per-block partial: canonicalized candidates → one row per triple.
+    Rows with a null key are dropped, as pandas' groupby drops them."""
+    t = batch.select(["h_id", "pred_rel", "t_id", "score", "url",
+                      "model_hash"]).rename_columns(
+        _TRIPLE_KEYS + ["score", "sample_url", "model_hash"])
+    keys_valid = (pc.field("subj").is_valid() & pc.field("pred").is_valid()
+                  & pc.field("obj").is_valid())
+    return _aggregate_triples(t.filter(keys_valid), merge=False)
+
+
+def _merge_triples(block: pa.Table) -> pa.Table:
+    """Per range partition: merge the partials, in (subj, pred, obj)
+    order. The sort's reduce emits one block per range partition and
+    ``map_batches`` without a batch_size sees each block whole, so every
+    partial of a triple is in this block (Ray's own
+    ``GroupedData.map_groups`` relies on the same contract)."""
+    return _aggregate_triples(block, merge=True).sort_by(
+        [(k, "ascending") for k in _TRIPLE_KEYS])
+
+
 def finalize_triples(inst_ds):
-    """Shared wide-stage tail: filtered candidates → deduplicated triples.
+    """Shared wide-stage tail: filtered candidates → deduplicated triples,
+    ordered by subj.
 
-    Two passes for canonicalization (pass 1 builds the tiny surface →
-    canonical map from the materialized candidates, pass 2 rewrites via a
-    broadcast), then exact triple dedup == the reference's distinct fact
-    set (``data_loader.py:151-164``). Group count ≈ #distinct triples
-    (unbounded at corpus scale) → coarse hash buckets + vectorized
-    per-bucket aggregation instead of Ray's per-group path. Used by both
-    ``extract_triples`` and the sharded job so semantics cannot drift.
+    Canonicalizes ids (``canonicalize_ids``), then dedups exactly — the
+    reference's distinct fact set, ``data_loader.py:151-164`` — as a
+    per-block pyarrow partial aggregate, ONE ``sort("subj")`` exchange and
+    a merge per range partition. Used by ``extract_triples``, the sharded
+    job's compaction and the queries' triples cache, so semantics cannot
+    drift.
+
+    Output: subj, pred, obj (canonical ids), n_evidence (instance count),
+    score (max), sample_url (min url), model_hash (min); globally ordered
+    by subj, and by (subj, pred, obj) within a block.
     """
-    import pandas as pd
-
-    from ..functions.relational import hash_bucket_aggregate
-
-    # keep ONLY the columns the two passes need (names for the map,
+    # keep ONLY the columns the tail needs (names for the map,
     # ids/score/lineage for dedup) — materializing with `text` & spans
     # attached would hold every surviving candidate's sentence in the
     # object store for no consumer (at corpus scale that is the
     # difference between caching candidates and caching the corpus)
     inst_ds = inst_ds.select_columns(CANDIDATE_COLUMNS).materialize()
-    # size-gated: broadcast map under CANON_BROADCAST_LIMIT distinct
-    # surfaces (the gazetteer reality), bucketed-join rewrite above it
-    # (open-web NER, surfaces ≈ corpus cardinality)
     inst_ds = canonicalize_ids(inst_ds, CANDIDATE_COLUMNS)
-
-    def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby(["h_id", "pred_rel", "t_id"], as_index=False)
-               .agg(n_evidence=("score", "size"), score=("score", "max"),
-                    sample_url=("url", "min"),
-                    model_hash=("model_hash", "min")))
-        return out.rename(columns={"h_id": "subj", "pred_rel": "pred",
-                                   "t_id": "obj"})
-
-    proj = inst_ds.select_columns(["h_id", "pred_rel", "t_id", "score",
-                                   "url", "model_hash"])
-    return hash_bucket_aggregate(proj, ["h_id", "pred_rel", "t_id"],
-                                 dedup_bucket)
+    partial = inst_ds.map_batches(_partial_triples, batch_format="pyarrow")
+    return partial.sort("subj").map_batches(_merge_triples,
+                                            batch_format="pyarrow")
 
 
 def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL, repeat=1,
                     docs_path=None):
-    """Full pipeline → deduplicated triple Dataset.
-
-    Output schema: subj, pred, obj (canonical ids), n_evidence (instance
-    count), score (max), sample_url, model_hash (per-row lineage).
-    """
+    """Full pipeline → deduplicated triple Dataset, ordered by subj
+    (``finalize_triples``' output schema)."""
     pages = read_pages(sf_dir, repeat=repeat, docs_path=docs_path)
     return finalize_triples(map_stages(pages, candidate_stages(model_name)))
 
 
 def materialize_graph(triples_ds, out_dir: str, model_hash: str = ""):
-    """Dedup-and-sort graph materialize: adjacency-ordered parquet + manifest.
+    """Graph materialize: the triples as adjacency-ordered parquet files +
+    manifest.
 
-    Sorting by subj clusters each entity's outgoing edges (adjacency-list
-    layout); parquet row-group stats then let readers range-prune by subj.
+    Writes ``triples_ds`` in the order it arrives; ``finalize_triples``
+    output is already ordered by subj, which clusters each entity's
+    outgoing edges (adjacency-list layout) and lets readers range-prune
+    by subj on parquet row-group stats. A zero-row input writes no data
+    file and an empty manifest.
     """
     import json
     import os
 
-    sorted_ds = triples_ds.sort("subj")
-    sorted_ds.write_parquet(out_dir)
+    triples_ds.write_parquet(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     files = sorted(f for f in os.listdir(out_dir) if f.endswith(".parquet"))
     manifest = {
         "version": 1,

@@ -11,17 +11,18 @@ Phase 1 (map-side combine): inside ``map_batches``, collapse each batch to
     the subsequent shuffle moves O(batches × distinct surfaces), not O(rows).
     This is the "salted key" two-phase pattern with the batch id acting as
     the implicit salt.
-Phase 2 (bucketed shuffle): per-surface argmax over the partials — coarse
-    hash buckets on ``norm_surface`` + one vectorized pandas resolve per
-    bucket. The result is a (norm_surface, canonical_id) DATASET; nothing
-    in phases 1-2 ever collects to the driver.
-Phase 3 (size-gated rewrite): if the distinct-surface count fits
-    ``CANON_BROADCAST_LIMIT``, the map is collected once, ``ray.put``, and
-    ids rewrite inside ``map_batches`` (zero extra shuffle — the gazetteer
-    reality in this sandbox). Beyond the limit — open-web NER where
-    distinct surfaces ≈ corpus cardinality — the rewrite becomes two
-    bucketed hash joins on the surface key and the map never materializes
-    in any single process. Same size-gate pattern as
+Phase 2 (per-surface argmax, size-gated): the partials are materialized
+    once and their row count — at least the number of distinct surfaces —
+    is the gate. Under ``CANON_BROADCAST_LIMIT`` the partials are folded
+    on the driver with pyarrow (``fold_canonical_map``: sum per (surface,
+    id), highest count, ties to the smaller id), with no shuffle. Over it
+    — open-web NER where distinct surfaces ≈ corpus cardinality — the same
+    argmax runs per coarse hash bucket on ``norm_surface``
+    (``build_canonical_dataset``) and the map stays a DATASET.
+Phase 3 (rewrite): under the gate the folded map is ``ray.put`` once and
+    ids rewrite inside ``map_batches`` (zero shuffles — the gazetteer
+    reality in this sandbox). Over it the rewrite is two bucketed hash
+    joins on the surface key. Same size-gate pattern as
     ``relational.anti_join``.
 
 The reference has no linker at all (it trusts ``h.id``/``t.id`` from the
@@ -81,41 +82,66 @@ class PartialSurfaceCounts:
         })
 
 
-def build_canonical_dataset(instances_ds):
-    """Phases 1+2: instance rows → Dataset of (norm_surface, canonical_id).
+def canonical_argmax(partials: pa.Table) -> pa.Table:
+    """The canonical-id policy, defined once: partial (norm_surface,
+    entity_id, cnt) rows → one (norm_surface, canonical_id) row per
+    surface. Counts are summed per (surface, id); the winner is the
+    highest total, ties to the lexicographically smaller id."""
+    totals = partials.group_by(["norm_surface", "entity_id"],
+                               use_threads=False).aggregate([("cnt", "sum")])
+    totals = totals.sort_by([("norm_surface", "ascending"),
+                             ("cnt_sum", "descending"),
+                             ("entity_id", "ascending")])
+    best = totals.group_by("norm_surface", use_threads=False).aggregate(
+        [("entity_id", "first")])
+    return best.rename_columns(["norm_surface", "canonical_id"])
 
-    Fully distributed: partial counts per batch, then ONE coarse
-    hash-bucket shuffle on the surface key with a vectorized per-bucket
-    argmax (all partials of a surface co-locate, so the resolve is exact).
-    Deterministic winner: highest total count, ties to the
-    lexicographically smaller entity id.
+
+def _partials(instances_ds):
+    """Phase 1 over a Dataset, materialized: its row count is free
+    metadata, and both the gate and the fold read it."""
+    return instances_ds.map_batches(PartialSurfaceCounts(),
+                                    batch_format="pyarrow").materialize()
+
+
+def fold_canonical_map(partials_ds) -> dict[str, str]:
+    """Phase 2 under the gate: fold materialized partials on the driver.
+
+    Ray passes empty blocks through with the source schema, so they are
+    skipped before concatenating.
     """
+    import ray
+
+    tables = [t for t in ray.get(partials_ds.to_arrow_refs()) if t.num_rows]
+    if not tables:
+        return {}
+    best = canonical_argmax(pa.concat_tables(tables))
+    return dict(zip(best.column("norm_surface").to_pylist(),
+                    best.column("canonical_id").to_pylist()))
+
+
+def build_canonical_dataset(partials_ds):
+    """Phase 2 over the gate: materialized partials → Dataset of
+    (norm_surface, canonical_id), ``canonical_argmax`` per hash bucket on
+    the surface key (all partials of a surface co-locate, so it is exact);
+    no process ever holds the whole map."""
     from ..functions.relational import hash_bucket_aggregate
 
-    partials = instances_ds.map_batches(
-        PartialSurfaceCounts(), batch_format="pyarrow")
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        totals = (g.groupby(["norm_surface", "entity_id"], as_index=False)
-                  ["cnt"].sum())
-        totals = totals.sort_values(
-            ["norm_surface", "cnt", "entity_id"],
-            ascending=[True, False, True], kind="mergesort")
-        best = totals.drop_duplicates("norm_surface", keep="first")
-        return best.rename(columns={"entity_id": "canonical_id"})[
-            ["norm_surface", "canonical_id"]]
+        return canonical_argmax(
+            pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
 
-    return hash_bucket_aggregate(partials, ["norm_surface"], per_bucket)
+    return hash_bucket_aggregate(partials_ds, ["norm_surface"], per_bucket,
+                                 rows_hint=partials_ds.count())
 
 
 def build_canonical_map(instances_ds) -> dict[str, str]:
-    """Collected {norm_surface: canonical_id} — the broadcast-path form.
+    """Collected {norm_surface: canonical_id} through the bucketed path.
 
-    Only call under the size gate (or in tests): the distributed argmax
-    has already reduced to one row per surface, so collecting is safe
-    whenever the surface vocabulary itself is driver-sized.
+    The pipeline folds the map on the driver instead
+    (``fold_canonical_map``); this form exists to check that both agree.
     """
-    df = build_canonical_dataset(instances_ds).to_pandas()
+    df = build_canonical_dataset(_partials(instances_ds)).to_pandas()
     if not len(df):
         return {}
     return dict(zip(df["norm_surface"], df["canonical_id"]))
@@ -146,24 +172,22 @@ class CanonicalizeIds:
 
 def canonicalize_ids(inst_ds, columns: list[str],
                      broadcast_limit: int = CANON_BROADCAST_LIMIT):
-    """Size-gated phase 3: rewrite h_id/t_id to canonical ids.
+    """Size-gated rewrite of h_id/t_id to canonical ids.
 
-    Under ``broadcast_limit`` distinct surfaces: collect the map once,
-    broadcast, rewrite per batch (no shuffle of the instances). Over it:
-    two bucketed hash joins on the normalized surface key — the map stays
-    a Dataset end to end. Both paths emit identical values and the same
-    ``columns`` (h_id/t_id rewritten).
+    The gate is the materialized partial row count (≥ the distinct-surface
+    count). Under ``broadcast_limit``: fold the map on the driver,
+    broadcast it, rewrite per batch — no shuffle at all. Over it: bucketed
+    argmax plus two bucketed hash joins on the normalized surface key —
+    the map stays a Dataset end to end. Both paths emit identical values
+    and the same ``columns`` (h_id/t_id rewritten).
     """
     import ray
 
-    canon_ds = build_canonical_dataset(inst_ds).materialize()
-    n_surfaces = canon_ds.count()
+    partials = _partials(inst_ds)
+    n_partials = partials.count()
 
-    if n_surfaces <= broadcast_limit:
-        canon = dict(zip(*(canon_ds.to_pandas()[c]
-                           for c in ("norm_surface", "canonical_id")))) \
-            if n_surfaces else {}
-        canon_ref = ray.put(canon)
+    if n_partials <= broadcast_limit:
+        canon_ref = ray.put(fold_canonical_map(partials))
         ref_key = canon_ref.hex()
 
         def canonicalize_batch(batch):
@@ -180,6 +204,9 @@ def canonicalize_ids(inst_ds, columns: list[str],
     # surface in the instances is in the map by construction)
     from ..functions.relational import shuffle_join
 
+    canon_ds = build_canonical_dataset(partials).materialize()
+    rows = inst_ds.count() + canon_ds.count()
+
     def add_norms(batch: pa.Table) -> pa.Table:
         h = _normalize_unique(batch.column("h_name").to_pandas())
         t = _normalize_unique(batch.column("t_name").to_pandas())
@@ -190,7 +217,7 @@ def canonicalize_ids(inst_ds, columns: list[str],
     carry = [c for c in columns if c != "h_id"] + ["_t_norm"]
     joined_h = shuffle_join(
         with_norms, canon_ds, "_h_norm", "norm_surface",
-        carry, ["canonical_id"])
+        carry, ["canonical_id"], rows_hint=rows)
 
     def set_h(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(h_id=df["canonical_id"])
@@ -200,7 +227,7 @@ def canonicalize_ids(inst_ds, columns: list[str],
     carry_t = [c for c in columns if c != "t_id"]
     joined_t = shuffle_join(
         joined_h, canon_ds, "_t_norm", "norm_surface",
-        carry_t, ["canonical_id"])
+        carry_t, ["canonical_id"], rows_hint=rows)
 
     def set_t(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(t_id=df["canonical_id"])

@@ -371,3 +371,164 @@ def test_hash_bucket_aggregate_partial_combiner_bounds_hot_key(ray_session):
                 mn=("v", "min"), mx=("v", "max"))
            .sort_values("k", ignore_index=True))
     pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
+
+
+# ---------------------------------------------------------------------------
+# finalize tail: driver-folded canonical map + one range exchange on subj
+# ---------------------------------------------------------------------------
+
+_CAND_SCHEMA = pa.schema([("h_id", pa.string()), ("h_name", pa.string()),
+                          ("t_id", pa.string()), ("t_name", pa.string()),
+                          ("pred_rel", pa.string()), ("score", pa.float64()),
+                          ("url", pa.string()), ("model_hash", pa.string())])
+
+
+def _finalize_oracle(df: pd.DataFrame) -> pd.DataFrame:
+    """Single-process pandas form of the finalize tail: per-surface
+    argmax (ties to the smaller id), rewrite, then one row per triple."""
+    from opennre_ray.stages.ner import normalize_surface
+
+    mentions = pd.DataFrame({
+        "surface": pd.concat([df["h_name"], df["t_name"]],
+                             ignore_index=True).map(normalize_surface),
+        "eid": pd.concat([df["h_id"], df["t_id"]], ignore_index=True)})
+    counts = (mentions.groupby(["surface", "eid"]).size()
+              .reset_index(name="n")
+              .sort_values(["surface", "n", "eid"],
+                           ascending=[True, False, True]))
+    canon = dict(counts.drop_duplicates("surface")[["surface", "eid"]]
+                 .itertuples(index=False, name=None))
+    out = pd.DataFrame({
+        "subj": df["h_name"].map(normalize_surface).map(canon)
+        .fillna(df["h_id"]),
+        "pred": df["pred_rel"],
+        "obj": df["t_name"].map(normalize_surface).map(canon)
+        .fillna(df["t_id"]),
+        "score": df["score"], "url": df["url"],
+        "model_hash": df["model_hash"]})
+    return (out.groupby(["subj", "pred", "obj"], as_index=False)
+            .agg(n_evidence=("score", "size"), score=("score", "max"),
+                 sample_url=("url", "min"),
+                 model_hash=("model_hash", "min"))
+            .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
+
+
+def _hot_subj_candidates(n=4000, seed=11):
+    """A hot subject (60% of rows) with repeated triples, score ties, and
+    urls and model hashes that differ within a triple."""
+    rng = np.random.default_rng(seed)
+    hot = rng.random(n) < 0.6
+    h = np.where(hot, 0, rng.integers(1, 80, n))
+    t = rng.integers(0, 40, n)
+    return pd.DataFrame({
+        "h_id": [f"Q{i}" for i in h],
+        "h_name": [f"Ent{i}" if i % 2 else f"ENT{i}" for i in h],
+        "t_id": [f"Q{100 + i}" for i in t],
+        "t_name": [f"obj{i}" for i in t],
+        "pred_rel": [f"r{i}" for i in rng.integers(0, 3, n)],
+        "score": rng.integers(0, 4, n) / 4.0,          # many exact ties
+        "url": [f"https://u/{i}" for i in rng.integers(0, 500, n)],
+        "model_hash": [f"m{i}" for i in rng.integers(0, 3, n)],
+    })
+
+
+def _read_graph(ds, out):
+    """materialize_graph, then its rows in file order; the manifest must
+    list exactly the files on disk."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from opennre_ray.pipelines.kg import materialize_graph
+
+    manifest = materialize_graph(ds, out)
+    files = sorted(f for f in os.listdir(out) if f.endswith(".parquet"))
+    assert manifest["files"] == files and manifest["num_files"] == len(files)
+    return (pq.read_table(out).to_pandas() if files
+            else pd.DataFrame(columns=["subj"]))
+
+
+def test_finalize_hot_subj_exact_and_subj_sorted(ray_session, tmp_path):
+    """A hot subj spread over 16 input blocks: the per-block partials,
+    the range exchange and the per-partition merge equal the pandas
+    oracle on every aggregate, and the written rows are globally sorted
+    by subj."""
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples
+
+    df = _hot_subj_candidates()
+    ds = rd.from_arrow(pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
+                                            preserve_index=False)
+                       ).repartition(16)
+    assert ds.materialize().num_blocks() >= 8
+    got = _read_graph(finalize_triples(ds), str(tmp_path / "g"))
+    assert got["subj"].tolist() == sorted(got["subj"])
+    want = _finalize_oracle(df)
+    got = got.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
+    assert (want["n_evidence"] > 1).any() and want["subj"].nunique() > 1
+    pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
+                                  check_dtype=False)
+
+
+def test_finalize_drops_null_keys(ray_session):
+    """Rows whose triple key is null are dropped, as pandas' groupby
+    drops them."""
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples
+
+    df = _hot_subj_candidates(400, seed=3)
+    df.loc[::7, "pred_rel"] = None
+    df.loc[5, ["t_id", "t_name"]] = [None, "nobody"]
+    ds = rd.from_arrow(pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
+                                            preserve_index=False)
+                       ).repartition(4)
+    got = (finalize_triples(ds).to_pandas()
+           .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
+    assert got[["subj", "pred", "obj"]].notna().all().all()
+    assert got["n_evidence"].sum() < len(df)
+    want = _finalize_oracle(df)
+    pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
+                                  check_dtype=False)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 8])
+def test_finalize_zero_rows_writes_empty_graph(ray_session, tmp_path,
+                                               n_blocks):
+    """A zero-row input (one block, or only empty blocks) gives a
+    zero-row graph whose manifest matches the files on disk."""
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples
+
+    empty = _CAND_SCHEMA.empty_table()
+    ds = rd.from_arrow([empty] * n_blocks)
+    got = _read_graph(finalize_triples(ds), str(tmp_path / "g"))
+    assert len(got) == 0
+
+
+def test_driver_folded_map_equals_bucketed_map(ray_session):
+    """The driver fold (under the gate) and the bucketed argmax (over it)
+    are one policy: equal maps, ties to the smaller id included."""
+    import ray.data as rd
+
+    from opennre_ray.stages.canonicalize import fold_canonical_map
+
+    rows = ([{"h_name": "France", "h_id": "Q142", "t_name": "Paris",
+              "t_id": "QP"}] * 500
+            + [{"h_name": "france", "h_id": "QBAD", "t_name": "Lyon",
+                "t_id": "QL"}] * 3
+            # 'tie' surface: QB and QA twice each → QA
+            + [{"h_name": "Tie", "h_id": "QB", "t_name": "tie",
+                "t_id": "QA"}] * 2)
+    rng = np.random.default_rng(9)
+    rows += [{"h_name": f"S{i % 50}", "h_id": f"E{rng.integers(4)}",
+              "t_name": f"s{(i + 1) % 50}", "t_id": f"E{rng.integers(4)}"}
+             for i in range(600)]
+    ds = rd.from_items(rows, override_num_blocks=8)
+    partials = ds.map_batches(PartialSurfaceCounts(),
+                              batch_format="pyarrow").materialize()
+    folded = fold_canonical_map(partials)
+    assert folded == build_canonical_map(ds)
+    assert folded["france"] == "Q142" and folded["tie"] == "QA"
