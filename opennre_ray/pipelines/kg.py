@@ -149,6 +149,11 @@ def finalize_triples(inst_ds):
     Output: subj, pred, obj (canonical ids), n_evidence (instance count),
     score (max), sample_url (min url), model_hash (min); globally ordered
     by subj, and by (subj, pred, obj) within a block.
+
+    Skew bound: the exchange moves per-block partials, not deduplicated
+    triples, so the largest merge block holds up to (input blocks) ×
+    (distinct triples of the hottest subj) rows, plus the other subjs
+    of its range partition.
     """
     # keep ONLY the columns the tail needs (names for the map,
     # ids/score/lineage for dedup) — materializing with `text` & spans

@@ -12,17 +12,19 @@ Phase 1 (map-side combine): inside ``map_batches``, collapse each batch to
     This is the "salted key" two-phase pattern with the batch id acting as
     the implicit salt.
 Phase 2 (per-surface argmax, size-gated): the partials are materialized
-    once and their row count — at least the number of distinct surfaces —
-    is the gate. Under ``CANON_BROADCAST_LIMIT`` the partials are folded
-    on the driver with pyarrow (``fold_canonical_map``: sum per (surface,
-    id), highest count, ties to the smaller id), with no shuffle. Over it
-    — open-web NER where distinct surfaces ≈ corpus cardinality — the same
-    argmax runs per coarse hash bucket on ``norm_surface``
-    (``build_canonical_dataset``) and the map stays a DATASET.
-Phase 3 (rewrite): under the gate the folded map is ``ray.put`` once and
-    ids rewrite inside ``map_batches`` (zero shuffles — the gazetteer
-    reality in this sandbox). Over it the rewrite is two bucketed hash
-    joins on the surface key. Same size-gate pattern as
+    once; their row count is an upper bound on the distinct-surface count
+    and is free metadata. Within ``CANON_BROADCAST_LIMIT`` the argmax
+    (``canonical_argmax``: sum per (surface, id), highest count, ties to
+    the smaller id) runs over all partials as ONE bucket of
+    ``hash_bucket_aggregate``, which folds it on the driver with no
+    shuffle (``fold_canonical_map``). Above it the same argmax runs per
+    coarse hash bucket on ``norm_surface`` (``build_canonical_dataset``)
+    and the map is a DATASET whose row count is the exact surface count.
+Phase 3 (size-gated rewrite): a map within the limit is ``ray.put`` once
+    and ids rewrite inside ``map_batches`` (zero shuffles — the common case
+    for a gazetteer-sized vocabulary). A larger map — open-web NER where distinct
+    surfaces ≈ corpus cardinality — is never collected: the rewrite is
+    two bucketed hash joins on the surface key. Same size-gate pattern as
     ``relational.anti_join``.
 
 The reference has no linker at all (it trusts ``h.id``/``t.id`` from the
@@ -38,7 +40,9 @@ import pyarrow as pa
 #: distinct-surface count above which the canonical map stops being
 #: broadcast and the id rewrite switches to bucketed hash joins. ~2M short
 #: strings ≈ low hundreds of MB — the driver/object-store comfort zone
-#: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT).
+#: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
+#: partial row count, an upper bound on it, is checked first: within the
+#: limit the map is folded on the driver without a shuffle.
 CANON_BROADCAST_LIMIT = 2_000_000
 
 
@@ -104,20 +108,27 @@ def _partials(instances_ds):
                                     batch_format="pyarrow").materialize()
 
 
-def fold_canonical_map(partials_ds) -> dict[str, str]:
-    """Phase 2 under the gate: fold materialized partials on the driver.
+def _argmax_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    """``canonical_argmax`` as a ``hash_bucket_aggregate`` bucket step."""
+    return canonical_argmax(
+        pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
 
-    Ray passes empty blocks through with the source schema, so they are
-    skipped before concatenating.
-    """
-    import ray
 
-    tables = [t for t in ray.get(partials_ds.to_arrow_refs()) if t.num_rows]
-    if not tables:
+def _as_map(canon_ds) -> dict[str, str]:
+    df = canon_ds.to_pandas()
+    if not len(df):
         return {}
-    best = canonical_argmax(pa.concat_tables(tables))
-    return dict(zip(best.column("norm_surface").to_pylist(),
-                    best.column("canonical_id").to_pylist()))
+    return dict(zip(df["norm_surface"], df["canonical_id"]))
+
+
+def fold_canonical_map(partials_ds) -> dict[str, str]:
+    """Phase 2 under the gate: the argmax over all materialized partials
+    as ONE bucket, which ``hash_bucket_aggregate`` folds on the driver
+    without a shuffle."""
+    from ..functions.relational import hash_bucket_aggregate
+
+    return _as_map(hash_bucket_aggregate(partials_ds, ["norm_surface"],
+                                         _argmax_bucket, n_buckets=1))
 
 
 def build_canonical_dataset(partials_ds):
@@ -127,11 +138,8 @@ def build_canonical_dataset(partials_ds):
     no process ever holds the whole map."""
     from ..functions.relational import hash_bucket_aggregate
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return canonical_argmax(
-            pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
-
-    return hash_bucket_aggregate(partials_ds, ["norm_surface"], per_bucket,
+    return hash_bucket_aggregate(partials_ds, ["norm_surface"],
+                                 _argmax_bucket,
                                  rows_hint=partials_ds.count())
 
 
@@ -141,10 +149,7 @@ def build_canonical_map(instances_ds) -> dict[str, str]:
     The pipeline folds the map on the driver instead
     (``fold_canonical_map``); this form exists to check that both agree.
     """
-    df = build_canonical_dataset(_partials(instances_ds)).to_pandas()
-    if not len(df):
-        return {}
-    return dict(zip(df["norm_surface"], df["canonical_id"]))
+    return _as_map(build_canonical_dataset(_partials(instances_ds)))
 
 
 class CanonicalizeIds:
@@ -170,41 +175,49 @@ class CanonicalizeIds:
             remap("t_name", "t_id"))
 
 
+def _broadcast_rewrite(inst_ds, canon: dict[str, str]):
+    """Phase 3 under the gate: ``ray.put`` the map once, rewrite ids per
+    batch (the map is cached per worker)."""
+    import ray
+
+    canon_ref = ray.put(canon)
+    ref_key = canon_ref.hex()
+
+    def canonicalize_batch(batch):
+        from ..stages.score import cached
+        stage = cached(("canon", ref_key),
+                       lambda: CanonicalizeIds(canon_ref))
+        return stage(batch)
+
+    return inst_ds.map_batches(canonicalize_batch, batch_format="pyarrow")
+
+
 def canonicalize_ids(inst_ds, columns: list[str],
                      broadcast_limit: int = CANON_BROADCAST_LIMIT):
     """Size-gated rewrite of h_id/t_id to canonical ids.
 
-    The gate is the materialized partial row count (≥ the distinct-surface
-    count). Under ``broadcast_limit``: fold the map on the driver,
-    broadcast it, rewrite per batch — no shuffle at all. Over it: bucketed
-    argmax plus two bucketed hash joins on the normalized surface key —
-    the map stays a Dataset end to end. Both paths emit identical values
-    and the same ``columns`` (h_id/t_id rewritten).
+    The gate is the distinct-surface count. The partial row count, free
+    metadata once the partials are materialized, is an upper bound on it:
+    within ``broadcast_limit`` the map is folded on the driver. Above it
+    the bucketed argmax runs first, and its materialized row count — the
+    exact surface count — decides. A map within the limit is broadcast
+    and ids rewrite per batch; a larger one stays a Dataset and the
+    rewrite is two bucketed hash joins on the normalized surface key.
+    Both paths emit identical values and the same ``columns`` (h_id/t_id
+    rewritten).
     """
-    import ray
-
     partials = _partials(inst_ds)
-    n_partials = partials.count()
-
-    if n_partials <= broadcast_limit:
-        canon_ref = ray.put(fold_canonical_map(partials))
-        ref_key = canon_ref.hex()
-
-        def canonicalize_batch(batch):
-            from ..stages.score import cached
-            stage = cached(("canon", ref_key),
-                           lambda: CanonicalizeIds(canon_ref))
-            return stage(batch)
-
-        return inst_ds.map_batches(canonicalize_batch,
-                                   batch_format="pyarrow")
+    if partials.count() <= broadcast_limit:
+        return _broadcast_rewrite(inst_ds, fold_canonical_map(partials))
+    canon_ds = build_canonical_dataset(partials).materialize()
+    if canon_ds.count() <= broadcast_limit:
+        return _broadcast_rewrite(inst_ds, _as_map(canon_ds))
 
     # beyond the broadcast limit: the map is corpus-sized — rewrite via two
     # bucketed hash joins on the surface key (inner joins are total: every
     # surface in the instances is in the map by construction)
     from ..functions.relational import shuffle_join
 
-    canon_ds = build_canonical_dataset(partials).materialize()
     rows = inst_ds.count() + canon_ds.count()
 
     def add_norms(batch: pa.Table) -> pa.Table:

@@ -318,11 +318,7 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
     """The traced benchmark run (perfbench/tracing.py::patch_layers)
     swaps these module attributes for timing wrappers; the job and the
     compaction must reach each through its module at call time, and
-    ``_counted`` must see the candidate chain's stage names in order.
-    ``hash_bucket_aggregate`` only runs on the canonical map's over-limit
-    path now, so its lookup is checked there."""
-    import ray.data as rd
-
+    ``_counted`` must see the candidate chain's stage names in order."""
     from opennre_ray.functions import relational
     from opennre_ray.pipelines import job, kg
     from opennre_ray.state import lineage
@@ -348,16 +344,9 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
                    compact=False)
     job.compact_candidates(out)
 
-    assert [name for _, name in hooks[:-1] if not calls.get(name)] == []
+    assert [name for _, name in hooks if not calls.get(name)] == []
     assert [a[2] for a in calls["_counted"]] == [
         "pages", "extract", "mentions", "pairs", "score", "filter"]
-
-    cands = rd.read_parquet(
-        job._shard_parts(os.path.join(out, "candidates"), ["all"]),
-        partitioning=None)
-    kg.canonicalize_ids(cands, kg.CANDIDATE_COLUMNS,
-                        broadcast_limit=0).materialize()
-    assert calls.get("hash_bucket_aggregate")
 
 
 def test_compaction_hands_finalize_exactly_the_candidate_columns(

@@ -62,6 +62,40 @@ def test_hash_bucket_aggregate_hot_key_exact(ray_session):
     assert hot["n"] == 9000 and hot["s"] == 9000.0
 
 
+def test_single_bucket_aggregate_equals_bucketed(ray_session):
+    """n_buckets=1 folds on the driver without a shuffle and equals the
+    bucketed aggregate, with a partial combiner and with emptied blocks
+    (which Ray passes on with the source schema) in the input."""
+    import ray
+    import ray.data as rd
+
+    rows = [{"k": "cold", "v": 2.0}] * 125 + \
+           [{"k": f"k{i % 30}", "v": float(i)} for i in range(875)]
+    ds = rd.from_items(rows, override_num_blocks=8).map_batches(
+        lambda t: t.slice(0, 0) if t.column("k")[0].as_py() == "cold"
+        else t, batch_format="pyarrow").materialize()
+    assert 0 in [t.num_rows for t in ray.get(ds.to_arrow_refs())]
+
+    def part(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False).agg(n=("v", "size"),
+                                                  s=("v", "sum"))
+
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False).agg(n=("n", "sum"),
+                                                  s=("s", "sum"))
+
+    def run(n_buckets):
+        return (hash_bucket_aggregate(ds, ["k"], merge, n_buckets=n_buckets,
+                                      partial=part).to_pandas()
+                .sort_values("k", ignore_index=True))
+
+    one = run(1)
+    assert len(one) == 30 and one["n"].sum() == 875
+    pd.testing.assert_frame_equal(one, run(8))
+    empty = hash_bucket_aggregate(ds.limit(0), ["k"], merge, n_buckets=1)
+    assert empty.count() == 0
+
+
 def test_adaptive_buckets_bound_per_bucket_rows():
     """n_buckets scales with the input row hint so per-bucket size stays
     ~TARGET_ROWS_PER_BUCKET at any input scale (a fixed 64 would put
@@ -206,13 +240,20 @@ def test_anti_join_bloom_path_cross_dtype_and_schema(ray_session):
     assert sorted(bcast["k"]) == sorted(tbl.column("k").to_pylist())
 
 
-def test_canonicalize_join_path_matches_broadcast(ray_session):
+def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     """Over the surface-count limit, canonicalize_ids switches to the
     bucketed-join rewrite; output must be row-identical to the broadcast
-    path (the size gate may never change semantics)."""
+    path (the size gate may never change semantics). The gate is the
+    distinct-surface count: partials over the limit whose surfaces fit
+    it are still broadcast, with no join."""
     import ray.data as rd
 
-    from opennre_ray.stages.canonicalize import canonicalize_ids
+    from opennre_ray.functions import relational
+    from opennre_ray.stages.canonicalize import (
+        _partials,
+        build_canonical_map,
+        canonicalize_ids,
+    )
 
     rng = np.random.default_rng(5)
     rows = []
@@ -233,8 +274,24 @@ def test_canonicalize_join_path_matches_broadcast(ray_session):
         df = out_ds.to_pandas()[cols]
         return df.sort_values(cols).reset_index(drop=True)
 
+    joins = []
+    orig_join = relational.shuffle_join
+
+    def counted_join(*a, **kw):
+        joins.append(a)
+        return orig_join(*a, **kw)
+
+    monkeypatch.setattr(relational, "shuffle_join", counted_join)
     bcast = collect(canonicalize_ids(ds, cols))                  # broadcast
-    joined = collect(canonicalize_ids(ds, cols, broadcast_limit=0))
+    assert not joins
+    n_surfaces = len(build_canonical_map(ds))
+    assert n_surfaces < _partials(ds).count()
+    gated = collect(canonicalize_ids(ds, cols, broadcast_limit=n_surfaces))
+    assert not joins
+    joined = collect(canonicalize_ids(ds, cols,
+                                      broadcast_limit=n_surfaces - 1))
+    assert len(joins) == 2
+    pd.testing.assert_frame_equal(bcast, gated, check_dtype=False)
     pd.testing.assert_frame_equal(bcast, joined, check_dtype=False)
 
 
