@@ -27,14 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .tokenization import BertTokenizer, WordTokenizer, tokens_to_ids
+from .tokenization import (BertTokenizer, WordTokenizer, memoize_per_call,
+                           tokens_to_ids)
 
 
 # ---------------------------------------------------------------------------
 # Entity-aware encoding (M1/M2)
 # ---------------------------------------------------------------------------
 
-def _split_segments(tokenizer, sentence, pos_head, pos_tail, mask_entity):
+def _split_segments(tokenize, sentence, pos_head, pos_tail, mask_entity):
     """5-segment entity-aware split of a raw sentence (char offsets).
 
     Returns (tokens, head_token_pos, tail_token_pos) with token-level spans,
@@ -43,11 +44,11 @@ def _split_segments(tokenizer, sentence, pos_head, pos_tail, mask_entity):
     """
     rev = pos_head[0] > pos_tail[0]
     lo, hi = (pos_tail, pos_head) if rev else (pos_head, pos_tail)
-    before = tokenizer.tokenize(sentence[: lo[0]])
-    ent_lo = tokenizer.tokenize(sentence[lo[0]: lo[1]])
-    between = tokenizer.tokenize(sentence[lo[1]: hi[0]])
-    ent_hi = tokenizer.tokenize(sentence[hi[0]: hi[1]])
-    after = tokenizer.tokenize(sentence[hi[1]:])
+    before = tokenize(sentence[: lo[0]])
+    ent_lo = tokenize(sentence[lo[0]: lo[1]])
+    between = tokenize(sentence[lo[1]: hi[0]])
+    ent_hi = tokenize(sentence[hi[0]: hi[1]])
+    after = tokenize(sentence[hi[1]:])
     if mask_entity:
         ent_lo = ["[UNK]"]
         ent_hi = ["[UNK]"]
@@ -81,7 +82,7 @@ def encode_instances(
 
     Returns dict of int32 arrays: token/pos1/pos2 (N, L), optionally mask.
     """
-    tokenizer = WordTokenizer(vocab=token2id)
+    tokenize = memoize_per_call(WordTokenizer(vocab=token2id).tokenize)
     pad_id = token2id["[PAD]"]
     unk_id = token2id["[UNK]"]
     n = len(h_pos)
@@ -99,7 +100,7 @@ def encode_instances(
             span_t = [int(t_pos[i][0]), int(t_pos[i][1])]
         else:
             tokens, span_h, span_t = _split_segments(
-                tokenizer, texts[i], h_pos[i], t_pos[i], mask_entity
+                tokenize, texts[i], h_pos[i], t_pos[i], mask_entity
             )
         ids = tokens_to_ids(token2id, tokens, L, pad_id, unk_id)
         token_arr[i, : len(ids)] = ids
@@ -136,14 +137,19 @@ class CnnSentenceEncoder:
     ``word_emb (V, word)``, ``pos1_emb/pos2_emb (2L, pos)``,
     ``conv_w (H, word+2*pos, K)``, ``conv_b (H,)``.
 
-    The conv runs one GEMM per DISTINCT ``(token, pos1, pos2)`` row of the
-    batch, then K shifted row-gathers (``_conv_forward``); it is
-    bit-identical to ``nn.conv1d`` over ``_embed`` at any batch size.
-    Scratch per encoder, at B = ``RelationScorer.CHUNK`` = 256 rows of
-    L = 40, H = 230: two (B, L, H) float32 buffers (9.4 MB each) plus the
-    distinct-row GEMM input and output, (U+1, C) and (U+1, K·H) — 8.7 MB
-    at the largest U (28% of B·L) among the kg_build benchmark's chunks;
-    ~28 MB in all.
+    The conv runs one GEMM per DISTINCT ``(token, pos1, pos2)`` row of a
+    table (``_conv_tables``), then K shifted row-gathers per slice
+    (``_conv_gather``); it is bit-identical to ``nn.conv1d`` over
+    ``_embed`` at any batch size. ``RelationScorer`` builds one table per
+    block and gathers per ``CHUNK`` slice (``forward_chunks``); every other
+    caller builds one table per batch (``_conv_forward``). Scratch per
+    encoder, at ``chunk`` = ``RelationScorer.CHUNK`` = 256 rows of L = 40,
+    H = 230, C = 60: two (chunk, L, H) float32 gather buffers (9.4 MB
+    each) plus the table's GEMM input and output, (U+1, C) and
+    (U+1, K·H). A table holds at most chunk·L + 1 = 10,241 rows (2.5 +
+    28.3 MB), ~50 MB in all at that ceiling; the kg_build benchmark's
+    3.2k-row blocks hold ~5.4k distinct rows (1.3 + 14.9 MB, ~35 MB in
+    all). The buffers are grown to the largest table and slice seen.
     """
 
     with_mask = False
@@ -203,31 +209,51 @@ class CnnSentenceEncoder:
             buf = self._scratch[name] = np.empty((n,) + shape, np.float32)
         return buf[:n]
 
-    def _conv_forward(self, token, pos1, pos2):
-        """Embed + conv → (B, Lout, H), one GEMM per distinct input row.
+    def _conv_tables(self, token, pos1, pos2, chunk):
+        """Step (a) of the conv: distinct-row GEMM tables over a block.
 
         Each embedded row is a pure function of ``(token, pos1, pos2)``,
         and [PAD] positions past the sentence are all ``([PAD], 0, 0)``:
-        on the benchmark's pairs only 26% of the B·L rows are distinct.
-        So: key every position, embed and multiply the U distinct rows
-        once (``zu = xu @ _wcat``, (U, K·H)), append a zero row for the
-        conv's zero padding, and sum the K shifted gathers
-        ``y[b, l] = ((Z0[r(b, l)] + Z1[r(b, l+1)]) + Z2[r(b, l+2)]) + conv_b``
-        where ``Zj`` is the j-th H-wide block of ``zu``. Each GEMM row,
-        and the add order, is the one ``nn.conv1d`` computes for that
-        position, so the output is bit-identical to it at any batch size.
+        a 3.2k-row block of the kg_build benchmark's pairs holds ~5.3k
+        distinct keys among its 128k positions. So every position is
+        keyed, and the distinct rows are embedded and multiplied once per
+        table (``_conv_table``).
 
-        Returns a view of a scratch buffer, overwritten by the next call.
+        Yields ``(lo, hi, zrows, inv)`` for consecutive row ranges
+        ``[lo, hi)`` that cover the block (one empty range for an empty
+        block): the range's table and each of its positions' distinct-row
+        index, (hi - lo, L). A range is the rest of the block while its distinct keys
+        fit in ``chunk``·L, else the longest run of whole ``chunk``-row
+        slices that fits; one slice always fits. So a table never exceeds
+        ``chunk``·L + 1 rows, the table of one slice at worst.
         """
-        w = self.w
-        B, L = token.shape
-        H, C, K = w["conv_w"].shape
-        pad = self.kernel_padding
-        Lp = L + 2 * pad
-        Lout = Lp - K + 1
-        npos = max(len(w["pos1_emb"]), len(w["pos2_emb"]))
+        npos = max(len(self.w["pos1_emb"]), len(self.w["pos2_emb"]))
         key = (token.astype(np.int64) * npos + pos1) * npos + pos2
-        ukey, inv = np.unique(key, return_inverse=True)
+        B, L = key.shape
+        cap = chunk * L
+        lo = 0
+        while True:
+            ukey, inv = np.unique(key[lo:], return_inverse=True)
+            hi = B
+            if len(ukey) > cap:
+                # the (cap+1)-th distinct key first appears at flat
+                # position p of key[lo:]: keep the whole slices before it
+                first = np.unique(key[lo:], return_index=True)[1]
+                hi = lo + int(np.partition(first, cap)[cap]) // cap * chunk
+                ukey, inv = np.unique(key[lo:hi], return_inverse=True)
+            yield (lo, hi, self._conv_table(ukey, npos),
+                   inv.reshape(hi - lo, L))
+            lo = hi
+            if lo >= B:
+                return
+
+    def _conv_table(self, ukey, npos):
+        """Embed the U distinct keys ``ukey`` and multiply them once:
+        ``zu = xu @ _wcat``, (U+1, K·H), in the ``_buf`` scratch. Returns
+        ``zu`` viewed as (U+1)·K rows of H: row r of ``Zj`` (the j-th
+        H-wide block of ``zu``) is row r·K + j."""
+        w = self.w
+        H, C, K = w["conv_w"].shape
         U = len(ukey)
         tok_u, pos_u = np.divmod(ukey, npos * npos)
         p1_u, p2_u = np.divmod(pos_u, npos)
@@ -237,7 +263,8 @@ class CnnSentenceEncoder:
         # the conv's zero padding. It must be the LAST row: OpenBLAS
         # computes the last row of an odd-row GEMM with a 1-row kernel
         # that sums in another order, and numpy sends a 1-row product to
-        # gemv; a zero row is 0 either way.
+        # gemv; a zero row is 0 either way. Every other row is then the
+        # same whatever U is, so tables of any extent give the same rows.
         xu = self._buf("x", U + 1, C)
         np.take(w["word_emb"], tok_u, axis=0, out=xu[:U, :wd])
         np.take(w["pos1_emb"], p1_u, axis=0, out=xu[:U, wd: wd + pd])
@@ -245,10 +272,27 @@ class CnnSentenceEncoder:
         xu[U] = 0.0
         zu = self._buf("z", U + 1, K * H)
         np.matmul(xu, self._wcat, out=zu)
-        # row r of Zj is row r*K + j of zu viewed as (U+1)*K rows of H
-        rows = np.full((B, Lp), U * K, np.intp)
-        rows[:, pad: pad + L] = inv.reshape(B, L) * K
-        zrows = zu.reshape(-1, H)
+        return zu.reshape(-1, H)
+
+    def _conv_gather(self, zrows, inv):
+        """Step (b): the conv output (B, Lout, H) of the rows whose
+        distinct-row indices are ``inv`` (B, L), as the sum of K shifted
+        gathers from a ``_conv_table``:
+        ``y[b, l] = ((Z0[r(b, l)] + Z1[r(b, l+1)]) + Z2[r(b, l+2)]) + conv_b``.
+        Each GEMM row, and the add order, is the one ``nn.conv1d``
+        computes for that position, so the output is bit-identical to it.
+
+        Returns a view of a scratch buffer, overwritten by the next call.
+        """
+        w = self.w
+        H, _, K = w["conv_w"].shape
+        B, L = inv.shape
+        pad = self.kernel_padding
+        Lp = L + 2 * pad
+        Lout = Lp - K + 1
+        # padding positions read the zero row, the table's last
+        rows = np.full((B, Lp), len(zrows) - K, np.intp)
+        rows[:, pad: pad + L] = inv * K
         y = self._buf("y", B, Lout, H)
         tmp = self._buf("tmp", B, Lout, H)
         # mode="clip": every index is in range, and the default "raise"
@@ -261,9 +305,37 @@ class CnnSentenceEncoder:
         y += w["conv_b"]
         return y
 
+    def _conv_forward(self, token, pos1, pos2):
+        """Embed + conv of one batch → (B, Lout, H): steps (a) and (b)
+        over one table of the whole batch (a ``chunk`` of B rows never
+        splits). Returns a view of a scratch buffer."""
+        (_, _, zrows, inv), = self._conv_tables(token, pos1, pos2,
+                                                max(len(token), 1))
+        return self._conv_gather(zrows, inv)
+
+    def forward_chunks(self, enc: dict, chunk: int):
+        """The representations of an encoded block, one array per
+        consecutive ``chunk``-row slice, in order. Step (a) runs once per
+        table of ``_conv_tables`` (once per block unless it holds more
+        than ``chunk``·L distinct keys), steps (b) and the pooling once
+        per slice, so the gather buffers stay at ``chunk`` rows. Each
+        array equals ``self`` over that slice alone, bit for bit. The
+        tables live in scratch: consume the generator before calling the
+        encoder again."""
+        mask = enc.get("mask")
+        for lo, hi, zrows, inv in self._conv_tables(
+                enc["token"], enc["pos1"], enc["pos2"], chunk):
+            for off in range(lo, hi, chunk):
+                end = min(off + chunk, hi)
+                yield self._pool(self._conv_gather(zrows,
+                                                   inv[off - lo: end - lo]),
+                                 None if mask is None else mask[off:end])
+
+    def _pool(self, conv, mask=None):
+        return np.maximum(conv, 0.0, out=conv).max(axis=1)       # (B, H)
+
     def forward(self, token, pos1, pos2):
-        y = self._conv_forward(token, pos1, pos2)                # (B, L, H)
-        return np.maximum(y, 0.0, out=y).max(axis=1)             # (B, H)
+        return self._pool(self._conv_forward(token, pos1, pos2))
 
     def __call__(self, enc: dict) -> np.ndarray:
         return self.forward(enc["token"], enc["pos1"], enc["pos2"])
@@ -283,8 +355,7 @@ class PcnnSentenceEncoder(CnnSentenceEncoder):
         super().__init__(*args, **kwargs)
         self.hidden_size = self.hidden_size * 3
 
-    def forward(self, token, pos1, pos2, mask=None):
-        conv = self._conv_forward(token, pos1, pos2)             # (B, L, H)
+    def _pool(self, conv, mask=None):
         # the conv's gather buffer is free once it returns
         tmp = self._buf("tmp", *conv.shape)
         pools = []
@@ -295,8 +366,18 @@ class PcnnSentenceEncoder(CnnSentenceEncoder):
             pools.append(tmp.max(axis=1))
         return np.concatenate(pools, axis=-1)                    # (B, 3H)
 
+    def forward(self, token, pos1, pos2, mask=None):
+        return self._pool(self._conv_forward(token, pos1, pos2), mask)
+
     def __call__(self, enc: dict) -> np.ndarray:
         return self.forward(enc["token"], enc["pos1"], enc["pos2"], enc["mask"])
+
+
+def _forward_slices(encoder, enc: dict, chunk: int):
+    """``forward_chunks`` of the encoders without a conv table: the
+    forward of each consecutive ``chunk``-row slice of the block."""
+    for off in range(0, len(enc["token"]), chunk):
+        yield encoder({k: v[off: off + chunk] for k, v in enc.items()})
 
 
 class RnnSentenceEncoder(CnnSentenceEncoder):
@@ -330,6 +411,8 @@ class RnnSentenceEncoder(CnnSentenceEncoder):
 
     def __call__(self, enc: dict) -> np.ndarray:
         return self.forward(enc["token"], enc["pos1"], enc["pos2"])
+
+    forward_chunks = _forward_slices
 
 
 class LstmSentenceEncoder(CnnSentenceEncoder):
@@ -366,6 +449,8 @@ class LstmSentenceEncoder(CnnSentenceEncoder):
 
     def __call__(self, enc: dict) -> np.ndarray:
         return self.forward(enc["token"], enc["pos1"], enc["pos2"])
+
+    forward_chunks = _forward_slices
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +491,7 @@ class BertSentenceEncoder:
         p1 = np.zeros(n, dtype=np.int32)
         p2 = np.zeros(n, dtype=np.int32)
         tk = self.tokenizer
+        tokenize = memoize_per_call(tk.tokenize)
         for i in range(n):
             if token_lists is not None and token_lists[i] is not None:
                 words = list(token_lists[i])
@@ -423,7 +509,7 @@ class BertSentenceEncoder:
                 segs = [sentence[: lo[0]], sentence[lo[0]: lo[1]],
                         sentence[lo[1]: hi[0]], sentence[hi[0]: hi[1]],
                         sentence[hi[1]:]]
-            sent0, ent0, sent1, ent1, sent2 = (tk.tokenize(s) for s in segs)
+            sent0, ent0, sent1, ent1, sent2 = (tokenize(s) for s in segs)
             if self.mask_entity:
                 ent0 = ["[unused4]"] if not rev else ["[unused5]"]
                 ent1 = ["[unused5]"] if not rev else ["[unused4]"]
@@ -470,6 +556,8 @@ class BertSentenceEncoder:
 
     def __call__(self, enc: dict) -> np.ndarray:
         return self.forward(enc["token"], enc["att_mask"], enc["pos1"], enc["pos2"])
+
+    forward_chunks = _forward_slices
 
 
 # ---------------------------------------------------------------------------

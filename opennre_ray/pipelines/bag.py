@@ -2,8 +2,8 @@
 
 Replaces the reference's load-time dict groupby + scope bookkeeping
 (``data_loader.py:145-236``) with a coarse hash-bucket shuffle on
-``(h_id, t_id)`` and vectorized per-bucket scoring: one chunked
-``encode_batch``/forward over ALL bag members in the bucket, then a
+``(h_id, t_id)`` and vectorized per-bucket scoring: one ``encode_batch``
+and a chunked forward over ALL bag members in the bucket, then a
 segment-reduce per bag using scope offsets (the same machinery as the
 batched bag trainer, ``training.py:536-558``). A bag never spans buckets,
 so per-bucket aggregation is exact; Ray's per-group Python path (measured
@@ -103,8 +103,9 @@ class BucketBagScorer:
     instead of once per tiny bag.
     """
 
-    # numeric chunk size for encode/forward — same ~28 MB per-worker conv
-    # scratch as RelationScorer.CHUNK (see stages/score.py)
+    # numeric chunk size of the forward: the bucket is encoded once and
+    # run through ``forward_chunks`` like a RelationScorer block, with the
+    # same per-worker conv scratch bound (see stages/score.py)
     CHUNK = 256
 
     def __init__(self, model_name: str = "nyt10_pcnn_att",
@@ -141,13 +142,8 @@ class BucketBagScorer:
         h = g[["h_start", "h_end"]].to_numpy()
         t = g[["t_start", "t_end"]].to_numpy()
         enc = self.model.encoder
-        reps = []
-        for off in range(0, len(g), self.CHUNK):
-            chunk = enc.encode_batch(texts[off: off + self.CHUNK],
-                                     h[off: off + self.CHUNK],
-                                     t[off: off + self.CHUNK])
-            reps.append(enc(chunk))
-        rep = reps[0] if len(reps) == 1 else np.concatenate(reps)
+        rep = np.concatenate(list(enc.forward_chunks(
+            enc.encode_batch(texts, h, t), self.CHUNK)))
 
         fc_w, fc_b, diag = (self.model.head.fc_w, self.model.head.fc_b,
                             self.model.diag)
@@ -198,8 +194,9 @@ class SaltedPartialScorer:
 
     Partials ship as ONE float64-bytes column: object-dtype numpy arrays
     through a Ray pandas shuffle risk TensorArray casts; bytes do not.
-    Encoding reuses the chunked full-batch-width forward (CHUNK=256, the
-    measured ~50 MB per-worker working-set bound).
+    Encoding reuses the scorer's block path: one encode per bucket, then
+    ``forward_chunks`` in CHUNK=256 slices (the measured ~50 MB per-worker
+    working-set bound).
     """
 
     CHUNK = 256
@@ -213,13 +210,8 @@ class SaltedPartialScorer:
         h = g[["h_start", "h_end"]].to_numpy()
         t = g[["t_start", "t_end"]].to_numpy()
         enc = self.model.encoder
-        reps = []
-        for off in range(0, len(g), self.CHUNK):
-            chunk = enc.encode_batch(texts[off: off + self.CHUNK],
-                                     h[off: off + self.CHUNK],
-                                     t[off: off + self.CHUNK])
-            reps.append(enc(chunk))
-        return reps[0] if len(reps) == 1 else np.concatenate(reps)
+        return np.concatenate(list(enc.forward_chunks(
+            enc.encode_batch(texts, h, t), self.CHUNK)))
 
     def __call__(self, bucket: pd.DataFrame) -> pd.DataFrame:
         if len(bucket) == 0:

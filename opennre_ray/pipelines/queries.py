@@ -4036,9 +4036,7 @@ def sentence_temperature_scaling(sf_dir):
             return pd.DataFrame(cols)
         scorer = cached(("scorer", "wiki80_cnn_softmax"),
                         lambda: RelationScorer("wiki80_cnn_softmax"))
-        mats = [scorer.score_matrix(batch.slice(off, scorer.CHUNK))
-                for off in range(0, batch.num_rows, scorer.CHUNK)]
-        p = np.concatenate(mats).astype(np.float64)
+        p = scorer.score_matrix(batch).astype(np.float64)
         logp = np.log(np.maximum(p, 1e-300))
         pred = np.argmax(p, axis=1)
         h = batch.column("h_id").to_pylist()
@@ -4156,9 +4154,7 @@ def sentence_conformal_sets(sf_dir):
             return pd.DataFrame(cols)
         scorer = cached(("scorer", "wiki80_cnn_softmax"),
                         lambda: RelationScorer("wiki80_cnn_softmax"))
-        mats = [scorer.score_matrix(batch.slice(off, scorer.CHUNK))
-                for off in range(0, batch.num_rows, scorer.CHUNK)]
-        p = np.concatenate(mats).astype(np.float64)
+        p = scorer.score_matrix(batch).astype(np.float64)
         s = np.clip(np.rint((1.0 - p) * CONF_GRID), 0,
                     CONF_GRID).astype(np.int64)
         keys = [f"{u}|{si}|{h}|{t}" for u, si, h, t in zip(
@@ -4266,9 +4262,7 @@ def sentence_uncertainty_sample(sf_dir):
             return empty
         scorer = cached(("scorer", "wiki80_cnn_softmax"),
                         lambda: RelationScorer("wiki80_cnn_softmax"))
-        mats = [scorer.score_matrix(batch.slice(off, scorer.CHUNK))
-                for off in range(0, batch.num_rows, scorer.CHUNK)]
-        p = np.concatenate(mats).astype(np.float64)
+        p = scorer.score_matrix(batch).astype(np.float64)
         top2 = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
         margin = top2[:, 1] - top2[:, 0]
         ent = -(p * np.log(np.maximum(p, 1e-300))).sum(axis=1)

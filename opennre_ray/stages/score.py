@@ -8,11 +8,16 @@ Two granularities:
 - ``RelationScorer`` — the fused encode+forward+head stage the KG pipeline
   uses: instance rows in, instance rows + (pred_rel, score, model_hash) out.
   Fusing avoids materializing (N, L) int arrays in the object store between
-  two stages; tokenization is <10% of forward cost, so the fusion loses no
-  parallelism while halving object-store traffic. The pipeline runs it as
-  stateless tasks through ``scorer_udf``: weights are built once per worker
-  process and kept in ``_WORKER_CACHE`` (reference loads them once per
-  process too: ``pretrain.py:147``).
+  two stages. Its unit of work is the Ray block: one encode per block,
+  tokenizing each distinct text segment once, then one conv GEMM per
+  distinct input row of the block, then the gathers, pooling and head
+  per ``CHUNK`` slice. Encoding is no small share: the kg_build
+  benchmark's 6,358 pairs cut into 31,790 segments but only 7,582
+  distinct strings, and tokenizing every one of them took 0.20 of the
+  scorer's 0.47 s. The pipeline runs it as stateless tasks through
+  ``scorer_udf``: weights are built once per worker process and kept in
+  ``_WORKER_CACHE`` (reference loads them once per process too:
+  ``pretrain.py:147``).
 """
 
 from __future__ import annotations
@@ -91,15 +96,9 @@ def score_matrix_udf(model_name: str = "wiki80_cnn_sigmoid",
     def fn(batch: pa.Table) -> pa.Table:
         scorer = cached(("matscorer", model_name, rel_key),
                         lambda: RelationScorer(model_name, rel2id=rel2id))
-        if batch.num_rows == 0:
-            return batch.append_column(
-                "rel_scores", pa.array([], pa.list_(pa.float32())))
-        mats = [scorer.score_matrix(batch.slice(off, RelationScorer.CHUNK))
-                for off in range(0, batch.num_rows, RelationScorer.CHUNK)]
-        mat = np.concatenate(mats)
         return batch.append_column(
-            "rel_scores",
-            pa.array(list(mat), pa.list_(pa.float32())))
+            "rel_scores", pa.array(list(scorer.score_matrix(batch)),
+                                   pa.list_(pa.float32())))
 
     return fn
 
@@ -112,13 +111,17 @@ class RelationScorer:
     batch. ``model_hash`` rides along for lineage (north-star requirement).
     """
 
-    # Numeric chunk size, independent of Ray task granularity: blocks are
-    # sliced internally so a big fused-task block never materializes the
-    # full (N, L) id arrays / conv activations at once. At 256 rows the
-    # conv scratch is ~28 MB per worker (two 9.4 MB (B, L, H) buffers + the
-    # ~8 MB distinct-row GEMM output, see CnnSentenceEncoder); working sets
-    # of ~190 MB ran 5-7x slower under 32 concurrent workers (cache
-    # pressure + huge-page first-touch stalls).
+    # Numeric chunk size, independent of Ray task granularity: a block is
+    # encoded whole (~0.5 MB of int32 ids at 3.2k rows) and its conv GEMM
+    # runs once per distinct row of the block, but the gathers, pooling
+    # and head run per CHUNK-row slice, so the (CHUNK, L, H) buffers stay
+    # at 9.4 MB each. CHUNK also bounds the block's GEMM table at
+    # CHUNK·L + 1 rows (28 MB; a block with more distinct rows is split
+    # into whole-CHUNK ranges), keeping the conv scratch under ~50 MB per
+    # worker (see CnnSentenceEncoder); working sets of ~190 MB ran 5-7x
+    # slower under 32 concurrent workers (cache pressure + huge-page
+    # first-touch stalls). The head's GEMM shapes, hence the scores, are
+    # those of the CHUNK slices.
     CHUNK = 256
 
     def __init__(self, model_name: str = "wiki80_cnn_softmax",
@@ -132,16 +135,36 @@ class RelationScorer:
         self._hash = self.model.model_hash
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(
-                "pred_rel", pa.array([], pa.string())
-            ).append_column("score", pa.array([], pa.float32())
-            ).append_column("model_hash", pa.array([], pa.string()))
-        out = [self._score_chunk(batch.slice(off, self.CHUNK))
-               for off in range(0, batch.num_rows, self.CHUNK)]
-        return pa.concat_tables(out)
+        preds, scores = [np.empty(0, np.int64)], [np.empty(0, np.float32)]
+        for rep in self._reps(batch):
+            pred, score = self.model.head.infer_batch(rep)
+            preds.append(pred)
+            scores.append(score.astype(np.float32))
+        return (batch
+                .append_column("pred_rel", pa.array(
+                    self._rel_names[np.concatenate(preds)], pa.string()))
+                .append_column("score", pa.array(np.concatenate(scores),
+                                                 pa.float32()))
+                .append_column("model_hash",
+                               pa.array([self._hash] * batch.num_rows,
+                                        pa.string())))
 
-    def _rep(self, batch: pa.Table) -> np.ndarray:
+    def score_matrix(self, batch: pa.Table) -> np.ndarray:
+        """(n, n_rel) head scores (softmax probs / sigmoid activations) of
+        a whole block, through the same per-block path as ``__call__``."""
+        mats = [np.empty((0, len(self.model.head.fc_b)), np.float32)]
+        mats += [self.model.head.scores(rep).astype(np.float32)
+                 for rep in self._reps(batch)]
+        return np.concatenate(mats)
+
+    def _reps(self, batch: pa.Table):
+        """The encoder's representations of the block, one array per
+        CHUNK-row slice: the block is encoded once and the encoder runs
+        its forward over it slice by slice (``forward_chunks``)."""
+        return self.model.encoder.forward_chunks(self._encode(batch),
+                                                 self.CHUNK)
+
+    def _encode(self, batch: pa.Table) -> dict:
         texts = batch.column("text").to_pylist()
         # pre-tokenized rows (S1 JSONL source) carry token-level offsets —
         # route them through the token branch (the reference's exclusive
@@ -166,23 +189,6 @@ class RelationScorer:
             if any(flags):
                 token_lists = [t.split(" ") if f else None
                                for t, f in zip(texts, flags)]
-        enc = self.model.encoder.encode_batch(
+        return self.model.encoder.encode_batch(
             texts, _spans(batch, "h"), _spans(batch, "t"),
             token_lists=token_lists)
-        return self.model.encoder(enc)
-
-    def score_matrix(self, batch: pa.Table) -> np.ndarray:
-        """(n, n_rel) head scores (softmax probs / sigmoid activations)."""
-        return self.model.head.scores(self._rep(batch)).astype(np.float32)
-
-    def _score_chunk(self, batch: pa.Table) -> pa.Table:
-        rep = self._rep(batch)
-        pred, score = self.model.head.infer_batch(rep)
-        return (batch
-                .append_column("pred_rel",
-                               pa.array(self._rel_names[pred], pa.string()))
-                .append_column("score", pa.array(score.astype(np.float32),
-                                                 pa.float32()))
-                .append_column("model_hash",
-                               pa.array([self._hash] * batch.num_rows,
-                                        pa.string())))

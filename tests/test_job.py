@@ -482,6 +482,38 @@ def test_resume_redoes_shards_of_another_configuration(ray_session, shards,
     assert res["completed"] == ["a"] and res["skipped"] == ["b"]
 
 
+def test_resume_redoes_shards_when_a_chain_constant_changes(
+        ray_session, shards, tmp_path, monkeypatch):
+    """The chain's stage constants are lineage: a rerun after any of
+    ``pairs.MAX_GAP``, ``pairs.MAX_PAIRS_PER_SENT`` or
+    ``ner.MAX_SENT_TOKENS`` changed redoes every shard and records the new
+    value; an unchanged rerun skips them all. The manifest keeps every
+    key it had before these were added."""
+    from opennre_ray.stages import ner, pairs
+
+    out = str(tmp_path / "kg")
+    names = [_name(p) for p in shards[:2]]
+
+    def manifest():
+        return json.load(open(os.path.join(_cand_dir(out, names[0]),
+                                           "manifest.json")))
+
+    run_kg_job(shards[:2], out, compact=False)
+    assert {"model_hash", "model_name", "threshold", "extractor_version",
+            "input_path", "input_fingerprint", "shard", "counters",
+            "completed_at"} <= set(manifest())
+    for mod, attr, key in [(pairs, "MAX_GAP", "max_gap"),
+                           (pairs, "MAX_PAIRS_PER_SENT", "max_pairs_per_sent"),
+                           (ner, "MAX_SENT_TOKENS", "max_sent_tokens")]:
+        assert manifest()[key] == getattr(mod, attr)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr) + 1)
+        res = run_kg_job(shards[:2], out, compact=False)
+        assert res["completed"] == names and res["skipped"] == []
+        assert manifest()[key] == getattr(mod, attr)
+    res = run_kg_job(shards[:2], out, compact=False)
+    assert res["completed"] == [] and res["skipped"] == names
+
+
 def test_compaction_reads_exactly_this_runs_shards(ray_session, shards,
                                                     tmp_path):
     """A rerun over 1 of 4 inputs into an out_root holding all 4 shards

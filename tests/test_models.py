@@ -220,6 +220,36 @@ def test_conv_forward_bit_exact_vs_conv1d(name):
 
 
 @pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax"])
+@pytest.mark.parametrize("chunk", [1, 3, 64, 257])
+def test_conv_two_step_bit_exact_vs_conv1d(name, chunk):
+    """The ``_conv_forward`` cases through the two-step form the scorer
+    runs: one table per range of ``_conv_tables`` (step a), a gather per
+    ``chunk``-row slice against it (step b). Each slice equals
+    nn.conv1d over its rows alone; the ranges cover the 257-row batch in
+    whole slices, and small chunks split it into several tables."""
+    enc = get_model(name).encoder
+    w = enc.w
+    batch = _conv_batch(enc, 257)
+    tok, p1, p2 = batch["token"], batch["pos1"], batch["pos2"]
+    L = enc.max_length
+    ranges = []
+    for lo, hi, zrows, inv in enc._conv_tables(tok, p1, p2, chunk):
+        ranges.append((lo, hi))
+        K = w["conv_w"].shape[2]
+        assert lo % chunk == 0 and len(zrows) // K <= chunk * L + 1
+        for off in range(lo, hi, chunk):
+            end = min(off + chunk, hi)
+            want = nn.conv1d(enc._embed(tok[off:end], p1[off:end],
+                                        p2[off:end]),
+                             w["conv_w"], w["conv_b"], enc.kernel_padding)
+            got = enc._conv_gather(zrows, inv[off - lo: end - lo])
+            assert np.array_equal(got, want)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == 257
+    assert (len(ranges) > 1) == (chunk < 257)
+
+
+@pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax"])
 def test_scorer_rows_independent_of_batch(name):
     """Every row's (pred_rel, score) is the same scored alone as inside a
     300-row batch (chunks of 256 and 44 rows): the distinct-row conv
@@ -239,6 +269,125 @@ def test_scorer_rows_independent_of_batch(name):
                              for i in range(batch.num_rows))
     for col in ("pred_rel", "score"):
         assert together.column(col).equals(alone.column(col))
+
+
+def _scorer_table(texts, h, t, **extra):
+    import pyarrow as pa
+
+    return pa.table({"text": texts,
+                     "h_start": h[:, 0], "h_end": h[:, 1],
+                     "t_start": t[:, 0], "t_end": t[:, 1], **extra})
+
+
+def _assert_block_exact(scorer, batch, per_row=True):
+    """Scoring the block whole equals scoring each CHUNK-row slice alone
+    and (``per_row``) each row alone, bit for bit: pred_rel, score and the
+    full score matrix."""
+    import pyarrow as pa
+
+    C, n = scorer.CHUNK, batch.num_rows
+    block = scorer(batch)
+    others = [pa.concat_tables(scorer(batch.slice(o, C))
+                               for o in range(0, n, C))]
+    if per_row:
+        others.append(pa.concat_tables(scorer(batch.slice(i, 1))
+                                       for i in range(n)))
+    for other in others:
+        assert block.column("pred_rel").equals(other.column("pred_rel"))
+        assert np.array_equal(block.column("score").to_numpy(),
+                              other.column("score").to_numpy())
+    mat = scorer.score_matrix(batch)
+    assert mat.shape == (n, len(scorer.model.head.fc_b))
+    assert np.array_equal(mat, np.concatenate(
+        [scorer.score_matrix(batch.slice(o, C)) for o in range(0, n, C)]))
+    return block
+
+
+@pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax",
+                                  "wiki80_cnn_sigmoid"])
+def test_scorer_block_equals_chunks_and_rows(name):
+    """One 600-row block (chunks of 256, 256 and 88 rows, one conv table)
+    scores exactly as its chunks alone and its rows alone."""
+    from opennre_ray.stages.score import RelationScorer
+
+    scorer = RelationScorer(name)
+    _assert_block_exact(scorer, _scorer_table(*_random_rows(600, seed=7)))
+
+
+@pytest.mark.parametrize("name", ["wiki80_cnn_softmax", "wiki80_pcnn_softmax"])
+def test_scorer_splits_block_table_exactly(name):
+    """A block with more distinct conv rows than CHUNK·L is split into
+    whole-CHUNK ranges with one table each, none above CHUNK·L + 1 rows,
+    and still scores exactly as its chunks and rows alone."""
+    from opennre_ray.stages.score import RelationScorer
+
+    scorer = RelationScorer(name)
+    batch = _scorer_table(*_random_rows(1000, seed=5))
+    enc = scorer.model.encoder
+    e = scorer._encode(batch)
+    C, L = scorer.CHUNK, enc.max_length
+    npos = len(enc.w["pos1_emb"])
+    key = (e["token"].astype(np.int64) * npos + e["pos1"]) * npos + e["pos2"]
+    assert len(np.unique(key)) > C * L
+    K = enc.w["conv_w"].shape[2]
+    ranges = [(lo, hi, len(zrows) // K) for lo, hi, zrows, _ in
+              enc._conv_tables(e["token"], e["pos1"], e["pos2"], C)]
+    assert len(ranges) > 1
+    assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]]
+    assert ranges[-1][1] == 1000
+    assert all(lo % C == 0 and rows <= C * L + 1 for lo, _, rows in ranges)
+    _assert_block_exact(scorer, batch)
+
+
+def test_scorer_token_rows_mixed_with_text_rows():
+    """Pre-tokenized rows (``is_token``, token-level spans) interleaved
+    with text rows in one 300-row block score exactly as alone, and the
+    token rows go through the token branch."""
+    import pyarrow as pa
+
+    from opennre_ray.stages.score import RelationScorer
+
+    texts, h, t = _random_rows(300, seed=11)
+    tokens, flags = [[] for _ in texts], [False] * len(texts)
+    rng = np.random.default_rng(11)
+    words = sorted(default_word2id()) + ["New York"]
+    for i in range(0, len(texts), 3):
+        toks = list(rng.choice(words, size=int(rng.integers(2, 50))))
+        a, b = sorted(rng.choice(len(toks), size=2, replace=False))
+        h[i], t[i] = (b, b + 1), (a, a + 1)
+        texts[i], tokens[i], flags[i] = " ".join(toks), toks, True
+    batch = _scorer_table(texts, h, t,
+                          tokens=pa.array(tokens, pa.list_(pa.string())),
+                          is_token=flags)
+    scorer = RelationScorer("wiki80_cnn_softmax")
+    enc = scorer.model.encoder
+    e = scorer._encode(batch)
+    one = enc.encode_batch([None], h[:1], t[:1], token_lists=[tokens[0]])
+    assert np.array_equal(e["token"][0], one["token"][0])
+    assert np.array_equal(e["pos1"][0], one["pos1"][0])
+    _assert_block_exact(scorer, batch)
+
+
+def test_scorer_zero_row_block():
+    """A zero-row block gets the three output columns, typed, and an
+    empty (0, n_rel) score matrix."""
+    import pyarrow as pa
+
+    from opennre_ray.stages.score import RelationScorer, score_matrix_udf
+
+    batch = _scorer_table(*_random_rows(3, seed=1)).slice(0, 0)
+    scorer = RelationScorer("wiki80_cnn_softmax")
+    out = scorer(batch)
+    assert out.num_rows == 0
+    assert out.schema.field("pred_rel").type == pa.string()
+    assert out.schema.field("score").type == pa.float32()
+    assert out.schema.field("model_hash").type == pa.string()
+    mat = scorer.score_matrix(batch)
+    assert mat.shape == (0, len(scorer.model.head.fc_b))
+    assert mat.dtype == np.float32
+    udf = score_matrix_udf("wiki80_cnn_sigmoid")(batch)
+    assert udf.num_rows == 0
+    assert udf.schema.field("rel_scores").type == pa.list_(pa.float32())
 
 
 def test_pcnn_segments_differ_from_cnn():

@@ -150,6 +150,38 @@ def test_relation_scorer_stage_matches_single_infer():
     assert out.column("model_hash")[0].as_py() == m.model_hash
 
 
+def test_score_matrix_udf_is_the_block_path():
+    """``score_matrix_udf`` scores the block through
+    ``RelationScorer.score_matrix`` once: its rel_scores equal the rows of
+    each CHUNK-row slice scored alone, and its argmax is ``__call__``'s
+    pred_rel."""
+    from opennre_ray.stages.score import RelationScorer, score_matrix_udf
+
+    words = ["spark", "table", "join", "was", "fast", "slow", "hash",
+             "stream", "window", "merge", "sort", "data"]
+    rng = np.random.default_rng(2)
+    texts, hs, ts = [], [], []
+    for _ in range(2 * RelationScorer.CHUNK + 9):
+        toks = list(rng.choice(words, size=int(rng.integers(3, 12))))
+        starts = np.cumsum([0] + [len(w) + 1 for w in toks[:-1]])
+        i, j = rng.choice(len(toks), size=2, replace=False)
+        texts.append(" ".join(toks))
+        hs.append((starts[i], starts[i] + len(toks[i])))
+        ts.append((starts[j], starts[j] + len(toks[j])))
+    hs, ts = np.array(hs), np.array(ts)
+    batch = pa.table({"text": texts, "h_start": hs[:, 0], "h_end": hs[:, 1],
+                      "t_start": ts[:, 0], "t_end": ts[:, 1]})
+    out = score_matrix_udf("wiki80_cnn_sigmoid")(batch)
+    got = np.stack(out.column("rel_scores").to_numpy(zero_copy_only=False))
+    scorer = RelationScorer("wiki80_cnn_sigmoid")
+    C = scorer.CHUNK
+    want = np.concatenate([scorer.score_matrix(batch.slice(o, C))
+                           for o in range(0, batch.num_rows, C)])
+    assert np.array_equal(got, want)
+    pred = scorer(batch).column("pred_rel").to_pylist()
+    assert pred == [scorer.id2rel[int(k)] for k in got.argmax(axis=1)]
+
+
 def test_canonicalize_map(ray_session):
     import ray.data as rd
     from opennre_ray.stages.canonicalize import (

@@ -10,14 +10,17 @@ import unicodedata
 from hypothesis import given, strategies as st
 
 from opennre_ray.tokenization import (
+    _CJK_RANGES,
     BasicTokenizer,
     BertTokenizer,
     WordpieceTokenizer,
     WordTokenizer,
+    _char_class,
     clean_text,
     is_control,
     is_punctuation,
     is_whitespace,
+    memoize_per_call,
     pad_cjk_chars,
     split_on_punctuation,
     split_on_whitespace,
@@ -132,3 +135,76 @@ def test_ids_to_tokens_roundtrip():
     bt = BertTokenizer(vocab)
     assert bt.convert_ids_to_tokens(bt.convert_tokens_to_ids(["a", "b"])) == \
         ["a", "b"]
+
+
+# The per-character implementations ``clean_text`` and ``pad_cjk_chars``
+# replaced (one ``str.translate`` and one regex substitution): the
+# reference they must equal.
+
+def _clean_text_reference(text):
+    out = []
+    for ch in text:
+        cls = _char_class(ch)
+        if cls == 1:
+            continue
+        out.append(" " if cls == 2 else ch)
+    return "".join(out)
+
+
+def _pad_cjk_chars_reference(text):
+    if all(_char_class(ch) != 3 for ch in text):
+        return text
+    out = []
+    for ch in text:
+        if _char_class(ch) == 3:
+            out.append(" ")
+            out.append(ch)
+            out.append(" ")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+_TRICKY_CHARS = st.one_of(
+    st.sampled_from(["\x00", "\ufffd", "\t", "\r", "\n", " ", "a", "Z"]),
+    st.characters(whitelist_categories=("Cc", "Cf", "Zs")),
+    st.characters(whitelist_categories=("Cs",)),            # lone surrogates
+    *[st.characters(min_codepoint=lo, max_codepoint=hi)     # CJK, incl.
+      for lo, hi in _CJK_RANGES],                           # unassigned
+    st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),  # Hangul
+    st.characters(),
+)
+
+
+@given(st.lists(_TRICKY_CHARS, max_size=40).map("".join))
+def test_clean_and_pad_equal_per_character_reference(s):
+    assert clean_text(s) == _clean_text_reference(s)
+    assert pad_cjk_chars(s) == _pad_cjk_chars_reference(s)
+    once = clean_text(s)
+    assert pad_cjk_chars(once) == _pad_cjk_chars_reference(once)
+
+
+def test_pad_cjk_range_edges_equal_reference():
+    """Both ends of every CJK range, and the unassigned code points inside
+    them, which ``_char_class`` drops rather than pads."""
+    for lo, hi in _CJK_RANGES:
+        for cp in [*range(lo - 2, lo + 3), *range(hi - 20, hi + 3)]:
+            ch = chr(cp)
+            assert pad_cjk_chars(ch) == _pad_cjk_chars_reference(ch)
+            assert clean_text(ch) == _clean_text_reference(ch)
+    assert pad_cjk_chars("\U0002fa1f") == "\U0002fa1f"    # Cn, in range
+
+
+def test_memoize_per_call_tokenizes_each_string_once():
+    calls = []
+
+    def tokenize(text):
+        calls.append(text)
+        return text.split()
+
+    once = memoize_per_call(tokenize)
+    assert [once(x) for x in ["a b", "c", "a b", "", ""]] == \
+        [["a", "b"], ["c"], ["a", "b"], [], []]
+    assert calls == ["a b", "c", ""]
+    assert memoize_per_call(tokenize)("a b") == ["a", "b"]
+    assert calls[-1] == "a b"
