@@ -40,7 +40,6 @@ import pyarrow.parquet as pq
 
 from ..registry import get_model
 from ..sources.pages import PAGE_COLUMNS, documents_to_pages
-from ..stages import ner, pairs
 from ..stages.extract import EXTRACTOR_VERSION
 from ..state import lineage
 from .kg import CANDIDATE_COLUMNS, DEFAULT_MODEL, SCORE_THRESHOLD
@@ -244,6 +243,7 @@ def run_kg_job(shard_files: list[str] | dict[str, str], out_root: str, *,
     from .kg import candidate_stages
 
     model_hash = get_model(model_name).model_hash
+    stages, settings = candidate_stages(model_name, threshold)
 
     def finalize(names):
         return {"triples_dir": compact_candidates(
@@ -252,16 +252,13 @@ def run_kg_job(shard_files: list[str] | dict[str, str], out_root: str, *,
     return _run_job(
         shard_files, out_root, "candidates",
         ["doc_id", "text", "lang", "source"],
-        [("pages", _pages)] + candidate_stages(model_name, threshold),
+        [("pages", _pages)] + stages,
         CANDIDATE_COLUMNS,
-        # the chain's code is guarded by its version and the stage
-        # constants that shape its rows, read when the job runs
+        # the chain's code is guarded by its version and by the stage
+        # constants its rows were built with
         lineage_items={"model_hash": model_hash, "model_name": model_name,
                        "threshold": threshold,
-                       "extractor_version": EXTRACTOR_VERSION,
-                       "max_gap": pairs.MAX_GAP,
-                       "max_pairs_per_sent": pairs.MAX_PAIRS_PER_SENT,
-                       "max_sent_tokens": ner.MAX_SENT_TOKENS},
+                       "extractor_version": EXTRACTOR_VERSION, **settings},
         finalize=finalize if compact else None)
 
 

@@ -8,20 +8,27 @@
       → scorer_udf                 (stateless tasks; model weights cached
                                     per worker)
       → filter score ≥ τ, rel ≠ NA (vectorized arrow filter)
-      → canonicalize               (per-block surface partials folded on
-                                    the driver + broadcast rewrite)
+      → per-block partial          (one row per block and distinct
+                                    (h_norm, h_id, pred, t_norm, t_id):
+                                    each name normalized once per distinct
+                                    value; materialized)
+      → canonicalize               (the partials' votes folded on the
+                                    driver into the surface → id map, then
+                                    a broadcast rewrite of the partials'
+                                    surfaces to subj/obj)
       → triple dedup               (exact distinct (subj, pred, obj), the
                                     reference's fact-set semantics,
-                                    data_loader.py:151-164: a per-block
-                                    pyarrow partial aggregate, ONE range
+                                    data_loader.py:151-164: ONE range
                                     exchange on subj, the merge per block)
       → write adjacency parquet partitions (already subj-ordered) +
         manifest
 
-Every stage streams; nothing materializes the full corpus. The only
-exchange is the ``sort("subj")`` inside ``finalize_triples``: it serves
-both the dedup (all rows of a triple share subj, so they share a range
-partition) and the adjacency order the graph is written in.
+Every stage streams; nothing materializes the full corpus — the tail
+materializes per-block partials and votes, whose size scales with
+distinct keys per block, not rows. The only exchange is the
+``sort("subj")`` inside ``finalize_triples``: it serves both the dedup
+(all partials of a triple share subj, so they share a range partition)
+and the adjacency order the graph is written in.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.pages import read_pages
-from ..stages.canonicalize import canonicalize_ids
+from ..stages.canonicalize import canonicalize_ids, map_distinct
 from ..stages.extract import ExtractText
 from ..stages.pairs import generate_pairs
 
@@ -41,24 +48,36 @@ SCORE_THRESHOLD = 0.12   # seeded-weight scale; ~uniform is 1/|R| = 0.10
 
 
 def candidate_stages(model_name=DEFAULT_MODEL, threshold=SCORE_THRESHOLD):
-    """The candidate chain, pages → filtered candidate rows, as ordered
-    ``(stage name, batch fn)`` pairs: extract → mentions → pairs → score →
-    filter. The one definition ``extract_triples``, ``candidate_instances``
-    and the sharded job (which counts rows per stage name) all build on.
+    """The candidate chain, pages → filtered candidate rows: ordered
+    ``(stage name, batch fn)`` pairs, extract → mentions → pairs → score →
+    filter, and the chain settings they were built with. The one
+    definition ``extract_triples``, ``candidate_instances`` and the
+    sharded job (which counts rows per stage name) all build on.
+
+    Returns ``(stages, settings)``. ``settings`` holds the stage
+    constants that shape the rows (``pairs.MAX_GAP``,
+    ``pairs.MAX_PAIRS_PER_SENT``, ``ner.MAX_SENT_TOKENS``), read once
+    here and bound into the stages, so the job's lineage records exactly
+    the values its rows were built with.
 
     All stages run as stateless tasks with per-worker-cached state
     (model weights, compiled gazetteer regex) — see ``stages.score`` for
     why this beats actor pools for CPU-resident models: elastic task
     scheduling, no pool ramp-up, no pool-vs-pool CPU budget deadlocks.
     """
-    from ..stages.ner import mentions_udf
+    from ..stages import ner, pairs
     from ..stages.score import scorer_udf
 
-    return [("extract", ExtractText()),
-            ("mentions", mentions_udf()),
-            ("pairs", generate_pairs),
-            ("score", scorer_udf(model_name)),
-            ("filter", partial(filter_triples, threshold=threshold))]
+    settings = {"max_gap": pairs.MAX_GAP,
+                "max_pairs_per_sent": pairs.MAX_PAIRS_PER_SENT,
+                "max_sent_tokens": ner.MAX_SENT_TOKENS}
+    stages = [("extract", ExtractText()),
+              ("mentions", ner.mentions_udf(settings["max_sent_tokens"])),
+              ("pairs", partial(generate_pairs, max_gap=settings["max_gap"],
+                                max_pairs=settings["max_pairs_per_sent"])),
+              ("score", scorer_udf(model_name)),
+              ("filter", partial(filter_triples, threshold=threshold))]
+    return stages, settings
 
 
 def map_stages(ds, stages):
@@ -78,7 +97,8 @@ def map_stages(ds, stages):
 def candidate_instances(pages_ds, *, model_name=DEFAULT_MODEL):
     """pages → scored, UNFILTERED instance rows: the candidate chain
     without its final filter stage."""
-    return map_stages(pages_ds, candidate_stages(model_name)[:-1])
+    stages, _ = candidate_stages(model_name)
+    return map_stages(pages_ds, stages[:-1])
 
 
 def filter_triples(batch: pa.Table, threshold: float = SCORE_THRESHOLD) -> pa.Table:
@@ -101,28 +121,41 @@ _TRIPLE_AGG = [("n_evidence", "count_all", "sum"),
                ("score", "max", "max"),
                ("sample_url", "min", "min"),
                ("model_hash", "min", "min")]
+_TRIPLE_COLUMNS = _TRIPLE_KEYS + [col for col, _, _ in _TRIPLE_AGG]
+#: the per-block partial's key: the triple key before canonicalization
+#: (surfaces and linker ids), which also carries the canonical map's votes
+_PARTIAL_KEYS = ["h_norm", "h_id", "pred", "t_norm", "t_id"]
 
 
-def _aggregate_triples(t: pa.Table, merge: bool) -> pa.Table:
-    """One ``group_by(_TRIPLE_KEYS)`` pass of ``_TRIPLE_AGG``: the partial
-    over candidate rows, or (``merge``) the fold of partials."""
+def _aggregate_triples(t: pa.Table, keys: list[str], merge: bool) -> pa.Table:
+    """One ``group_by(keys)`` pass of ``_TRIPLE_AGG``: the partial over
+    candidate rows, or (``merge``) the fold of partials."""
     fns = [(col, m if merge else p) for col, p, m in _TRIPLE_AGG]
-    out = t.group_by(_TRIPLE_KEYS, use_threads=False).aggregate(
+    out = t.group_by(keys, use_threads=False).aggregate(
         [([], fn) if fn == "count_all" else (col, fn) for col, fn in fns])
-    return out.select(_TRIPLE_KEYS + [
+    return out.select(keys + [
         fn if fn == "count_all" else f"{col}_{fn}" for col, fn in fns
-    ]).rename_columns(_TRIPLE_KEYS + [col for col, _ in fns])
+    ]).rename_columns(keys + [col for col, _ in fns])
 
 
 def _partial_triples(batch: pa.Table) -> pa.Table:
-    """Per-block partial: canonicalized candidates → one row per triple.
-    Rows with a null key are dropped, as pandas' groupby drops them."""
-    t = batch.select(["h_id", "pred_rel", "t_id", "score", "url",
-                      "model_hash"]).rename_columns(
-        _TRIPLE_KEYS + ["score", "sample_url", "model_hash"])
-    keys_valid = (pc.field("subj").is_valid() & pc.field("pred").is_valid()
-                  & pc.field("obj").is_valid())
-    return _aggregate_triples(t.filter(keys_valid), merge=False)
+    """Per-block partial, keyed by surface: candidates → one row per
+    (h_norm, h_id, pred, t_norm, t_id). Each name is normalized once per
+    distinct value. Null keys are kept: a row with a null ``pred_rel``
+    still votes in the canonical map, and the rewrite drops it after."""
+    from ..stages.ner import normalize_surface
+
+    t = pa.table({
+        "h_norm": map_distinct(batch["h_name"], normalize_surface),
+        "h_id": batch["h_id"],
+        "pred": batch["pred_rel"],
+        "t_norm": map_distinct(batch["t_name"], normalize_surface),
+        "t_id": batch["t_id"],
+        "score": batch["score"],
+        "sample_url": batch["url"],
+        "model_hash": batch["model_hash"],
+    })
+    return _aggregate_triples(t, _PARTIAL_KEYS, merge=False)
 
 
 def _merge_triples(block: pa.Table) -> pa.Table:
@@ -131,7 +164,7 @@ def _merge_triples(block: pa.Table) -> pa.Table:
     ``map_batches`` without a batch_size sees each block whole, so every
     partial of a triple is in this block (Ray's own
     ``GroupedData.map_groups`` relies on the same contract)."""
-    return _aggregate_triples(block, merge=True).sort_by(
+    return _aggregate_triples(block, _TRIPLE_KEYS, merge=True).sort_by(
         [(k, "ascending") for k in _TRIPLE_KEYS])
 
 
@@ -139,12 +172,17 @@ def finalize_triples(inst_ds):
     """Shared wide-stage tail: filtered candidates → deduplicated triples,
     ordered by subj.
 
-    Canonicalizes ids (``canonicalize_ids``), then dedups exactly — the
-    reference's distinct fact set, ``data_loader.py:151-164`` — as a
-    per-block pyarrow partial aggregate, ONE ``sort("subj")`` exchange and
-    a merge per range partition. Used by ``extract_triples``, the sharded
-    job's compaction and the queries' triples cache, so semantics cannot
-    drift.
+    Dedups exactly — the reference's distinct fact set,
+    ``data_loader.py:151-164`` — in three Ray Data executions: the
+    per-block partial keyed by surface (``_partial_triples``,
+    materialized), the canonical map's votes and fold over those partials
+    (``canonicalize_ids``, which rewrites the partials' surfaces to
+    canonical subj/obj), then ONE ``sort("subj")`` exchange and a merge
+    per range partition. Exact because the canonical id of a mention is
+    a function of its normalized surface alone, so the triple key is a
+    function of the partial key, and every aggregate decomposes. Used by
+    ``extract_triples``, the sharded job's compaction and the queries'
+    triples cache, so semantics cannot drift.
 
     Output: subj, pred, obj (canonical ids), n_evidence (instance count),
     score (max), sample_url (min url), model_hash (min); globally ordered
@@ -152,19 +190,15 @@ def finalize_triples(inst_ds):
 
     Skew bound: the exchange moves per-block partials, not deduplicated
     triples, so the largest merge block holds up to (input blocks) ×
-    (distinct triples of the hottest subj) rows, plus the other subjs
-    of its range partition.
+    (distinct partial keys — triples times their surface and id
+    variants — of the hottest subj) rows, plus the other subjs of its
+    range partition.
     """
-    # keep ONLY the columns the tail needs (names for the map,
-    # ids/score/lineage for dedup) — materializing with `text` & spans
-    # attached would hold every surviving candidate's sentence in the
-    # object store for no consumer (at corpus scale that is the
-    # difference between caching candidates and caching the corpus)
-    inst_ds = inst_ds.select_columns(CANDIDATE_COLUMNS).materialize()
-    inst_ds = canonicalize_ids(inst_ds, CANDIDATE_COLUMNS)
-    partial = inst_ds.map_batches(_partial_triples, batch_format="pyarrow")
-    return partial.sort("subj").map_batches(_merge_triples,
-                                            batch_format="pyarrow")
+    partials = inst_ds.map_batches(_partial_triples,
+                                   batch_format="pyarrow").materialize()
+    rows = canonicalize_ids(partials, _TRIPLE_COLUMNS)
+    return rows.sort("subj").map_batches(_merge_triples,
+                                         batch_format="pyarrow")
 
 
 def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL, repeat=1,
@@ -172,7 +206,8 @@ def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL, repeat=1,
     """Full pipeline → deduplicated triple Dataset, ordered by subj
     (``finalize_triples``' output schema)."""
     pages = read_pages(sf_dir, repeat=repeat, docs_path=docs_path)
-    return finalize_triples(map_stages(pages, candidate_stages(model_name)))
+    stages, _ = candidate_stages(model_name)
+    return finalize_triples(map_stages(pages, stages))
 
 
 def materialize_graph(triples_ds, out_dir: str, model_hash: str = ""):

@@ -1,31 +1,36 @@
-"""Entity canonicalization: groupby-aggregate shuffle on normalized surfaces.
+"""Entity canonicalization: groupby-aggregate on normalized surfaces.
 
 North-star requirement: "entity canonicalization runs as a groupby-aggregate
 shuffle on normalized surface-form keys with explicit hash partitioning and
-salted keys for head-entity skew". Design:
+salted keys for head-entity skew". Design, over the surface-keyed triple
+partials of ``kg.finalize_triples`` (one row per block and distinct
+(h_norm, h_id, pred, t_norm, t_id), with its ``n_evidence`` row count):
 
-Phase 1 (map-side combine): inside ``map_batches``, collapse each batch to
-    (norm_surface, entity_id) → partial count. Head-entity skew (a country
-    name on billions of pages) is absorbed HERE — a hot key contributes at
-    most one row per (batch, entity) no matter how many mentions it has, so
-    the subsequent shuffle moves O(batches × distinct surfaces), not O(rows).
-    This is the "salted key" two-phase pattern with the batch id acting as
-    the implicit salt.
-Phase 2 (per-surface argmax, size-gated): the partials are materialized
-    once; their row count is an upper bound on the distinct-surface count
-    and is free metadata. Within ``CANON_BROADCAST_LIMIT`` the argmax
-    (``canonical_argmax``: sum per (surface, id), highest count, ties to
-    the smaller id) runs over all partials as ONE bucket of
-    ``hash_bucket_aggregate``, which folds it on the driver with no
-    shuffle (``fold_canonical_map``). Above it the same argmax runs per
-    coarse hash bucket on ``norm_surface`` (``build_canonical_dataset``)
-    and the map is a DATASET whose row count is the exact surface count.
-Phase 3 (size-gated rewrite): a map within the limit is ``ray.put`` once
-    and ids rewrite inside ``map_batches`` (zero shuffles — the common case
-    for a gazetteer-sized vocabulary). A larger map — open-web NER where distinct
-    surfaces ≈ corpus cardinality — is never collected: the rewrite is
-    two bucketed hash joins on the surface key. Same size-gate pattern as
-    ``relational.anti_join``.
+Phase 1 (votes, map-side combine): per block, both mention slots of the
+    partials become (norm_surface, entity_id) → cnt votes, the partial's
+    ``n_evidence`` as the count; null ids and null surfaces do not vote.
+    Head-entity skew (a country name on billions of pages) is absorbed
+    HERE — a hot surface contributes at most one vote row per (block,
+    entity) no matter how many mentions it has, so what moves next is
+    O(blocks × distinct surfaces), not O(rows). This is the "salted key"
+    two-phase pattern with the block id acting as the implicit salt. The
+    votes are materialized: their row count is free metadata, an upper
+    bound on the distinct-surface count.
+Phase 2 (per-surface argmax, ONE call): ``canonical_argmax`` (sum per
+    (surface, id), highest count, ties to the smaller id) runs through
+    ``hash_bucket_aggregate`` on ``norm_surface`` — as one bucket folded
+    on the driver with no shuffle while the votes are within
+    ``CANON_BROADCAST_LIMIT``, over coarse hash buckets above it. The
+    map's row count is the exact surface count.
+Phase 3 (size-gated rewrite of the partials): subj = map[h_norm] and
+    obj = map[t_norm], then rows with a null key are dropped (a null
+    predicate, or a surface none of whose ids is known). A map within the
+    limit is ``ray.put`` once and looked up per distinct surface inside
+    ``map_batches`` (zero shuffles — the common case for a
+    gazetteer-sized vocabulary). A larger map — open-web NER where
+    distinct surfaces ≈ corpus cardinality — is never collected: the
+    rewrite is two bucketed hash joins on the surface key. Same
+    size-gate pattern as ``relational.anti_join``.
 
 The reference has no linker at all (it trusts ``h.id``/``t.id`` from the
 file, ``data_loader.py:152``); canonicalization is the KG build's analogue
@@ -36,63 +41,38 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 #: distinct-surface count above which the canonical map stops being
-#: broadcast and the id rewrite switches to bucketed hash joins. ~2M short
+#: broadcast and the rewrite switches to bucketed hash joins. ~2M short
 #: strings ≈ low hundreds of MB — the driver/object-store comfort zone
 #: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
-#: partial row count, an upper bound on it, is checked first: within the
+#: vote row count, an upper bound on it, is checked first: within the
 #: limit the map is folded on the driver without a shuffle.
 CANON_BROADCAST_LIMIT = 2_000_000
 
-
-def _normalize_unique(names: pd.Series) -> pd.Series:
-    """normalize_surface applied once per UNIQUE name, mapped back.
-
-    Mention surfaces are Zipfian — a batch has far fewer distinct names
-    than rows — so normalizing uniques then mapping is the vectorized form
-    of the per-row loop this replaced.
-    """
-    from .ner import normalize_surface
-
-    uniq = names.unique()
-    lut = {n: normalize_surface(n) for n in uniq}
-    return names.map(lut)
+_MAP_SCHEMA = pa.schema([("norm_surface", pa.string()),
+                         ("canonical_id", pa.string())])
 
 
-class PartialSurfaceCounts:
-    """Phase 1: per-batch (norm_surface, entity_id) partial counts.
-
-    One concatenated (name, id) frame over both mention slots, one
-    vectorized value_counts — no per-row Python.
-    """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        frames = [
-            pd.DataFrame({
-                "name": batch.column(name_col).to_pandas(),
-                "entity_id": batch.column(id_col).to_pandas(),
-            })
-            for name_col, id_col in (("h_name", "h_id"), ("t_name", "t_id"))
-        ]
-        df = pd.concat(frames, ignore_index=True)
-        df["norm_surface"] = _normalize_unique(df["name"])
-        counts = (df.groupby(["norm_surface", "entity_id"], sort=False)
-                  .size().reset_index(name="cnt"))
-        return pa.table({
-            "norm_surface": pa.array(counts["norm_surface"], pa.string()),
-            "entity_id": pa.array(counts["entity_id"], pa.string()),
-            "cnt": pa.array(counts["cnt"].to_numpy(), pa.int64()),
-        })
+def map_distinct(values, fn) -> pa.Array:
+    """``fn`` applied once per DISTINCT value of a string column, taken
+    back per row; nulls stay null. Mention surfaces are Zipfian — a block
+    has far fewer distinct names than rows."""
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    enc = values.dictionary_encode()
+    lut = pa.array([fn(v) for v in enc.dictionary.to_pylist()], pa.string())
+    return lut.take(enc.indices)
 
 
-def canonical_argmax(partials: pa.Table) -> pa.Table:
-    """The canonical-id policy, defined once: partial (norm_surface,
-    entity_id, cnt) rows → one (norm_surface, canonical_id) row per
-    surface. Counts are summed per (surface, id); the winner is the
-    highest total, ties to the lexicographically smaller id."""
-    totals = partials.group_by(["norm_surface", "entity_id"],
-                               use_threads=False).aggregate([("cnt", "sum")])
+def canonical_argmax(votes: pa.Table) -> pa.Table:
+    """The canonical-id policy, defined once: (norm_surface, entity_id,
+    cnt) vote rows → one (norm_surface, canonical_id) row per surface.
+    Counts are summed per (surface, id); the winner is the highest total,
+    ties to the lexicographically smaller id."""
+    totals = votes.group_by(["norm_surface", "entity_id"],
+                            use_threads=False).aggregate([("cnt", "sum")])
     totals = totals.sort_by([("norm_surface", "ascending"),
                              ("cnt_sum", "descending"),
                              ("entity_id", "ascending")])
@@ -101,11 +81,19 @@ def canonical_argmax(partials: pa.Table) -> pa.Table:
     return best.rename_columns(["norm_surface", "canonical_id"])
 
 
-def _partials(instances_ds):
-    """Phase 1 over a Dataset, materialized: its row count is free
-    metadata, and both the gate and the fold read it."""
-    return instances_ds.map_batches(PartialSurfaceCounts(),
-                                    batch_format="pyarrow").materialize()
+def surface_votes(partials: pa.Table) -> pa.Table:
+    """Phase 1 per block: both slots of the triple partials → one
+    (norm_surface, entity_id, cnt) row per distinct pair."""
+    votes = pa.concat_tables([
+        pa.table({"norm_surface": partials.column(norm),
+                  "entity_id": partials.column(eid),
+                  "cnt": partials.column("n_evidence")})
+        for norm, eid in (("h_norm", "h_id"), ("t_norm", "t_id"))])
+    votes = votes.filter(pc.field("norm_surface").is_valid()
+                         & pc.field("entity_id").is_valid())
+    return votes.group_by(["norm_surface", "entity_id"],
+                          use_threads=False).aggregate(
+        [("cnt", "sum")]).rename_columns(["norm_surface", "entity_id", "cnt"])
 
 
 def _argmax_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -114,136 +102,95 @@ def _argmax_bucket(g: pd.DataFrame) -> pd.DataFrame:
         pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
 
 
-def _as_map(canon_ds) -> dict[str, str]:
-    df = canon_ds.to_pandas()
-    if not len(df):
-        return {}
-    return dict(zip(df["norm_surface"], df["canonical_id"]))
-
-
-def fold_canonical_map(partials_ds) -> dict[str, str]:
-    """Phase 2 under the gate: the argmax over all materialized partials
-    as ONE bucket, which ``hash_bucket_aggregate`` folds on the driver
-    without a shuffle."""
-    from ..functions.relational import hash_bucket_aggregate
-
-    return _as_map(hash_bucket_aggregate(partials_ds, ["norm_surface"],
-                                         _argmax_bucket, n_buckets=1))
-
-
-def build_canonical_dataset(partials_ds):
-    """Phase 2 over the gate: materialized partials → Dataset of
-    (norm_surface, canonical_id), ``canonical_argmax`` per hash bucket on
-    the surface key (all partials of a surface co-locate, so it is exact);
-    no process ever holds the whole map."""
-    from ..functions.relational import hash_bucket_aggregate
-
-    return hash_bucket_aggregate(partials_ds, ["norm_surface"],
-                                 _argmax_bucket,
-                                 rows_hint=partials_ds.count())
-
-
-def build_canonical_map(instances_ds) -> dict[str, str]:
-    """Collected {norm_surface: canonical_id} through the bucketed path.
-
-    The pipeline folds the map on the driver instead
-    (``fold_canonical_map``); this form exists to check that both agree.
-    """
-    return _as_map(build_canonical_dataset(_partials(instances_ds)))
-
-
-class CanonicalizeIds:
-    """Phase 3 (broadcast path): rewrite h_id/t_id through the canonical map."""
-
-    def __init__(self, canon_ref):
-        import ray
-        self.canon = ray.get(canon_ref) if not isinstance(canon_ref, dict) \
-            else canon_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        def remap(name_col, id_col):
-            names = batch.column(name_col).to_pandas()
-            ids = batch.column(id_col).to_pandas()
-            mapped = _normalize_unique(names).map(self.canon)
-            return pa.array(mapped.fillna(ids), pa.string())
-
-        out = batch.set_column(
-            batch.schema.get_field_index("h_id"), "h_id",
-            remap("h_name", "h_id"))
-        return out.set_column(
-            out.schema.get_field_index("t_id"), "t_id",
-            remap("t_name", "t_id"))
-
-
-def _broadcast_rewrite(inst_ds, canon: dict[str, str]):
-    """Phase 3 under the gate: ``ray.put`` the map once, rewrite ids per
-    batch (the map is cached per worker)."""
+def _broadcast_rewrite(partials_ds, canon: pa.Table, columns: list[str]):
+    """Phase 3 under the gate: ``ray.put`` the map once; each worker
+    builds its lookup once (cached per worker) and maps each distinct
+    surface of a block once. Rows with a null subj, pred or obj are
+    dropped."""
     import ray
 
     canon_ref = ray.put(canon)
     ref_key = canon_ref.hex()
 
-    def canonicalize_batch(batch):
-        from ..stages.score import cached
-        stage = cached(("canon", ref_key),
-                       lambda: CanonicalizeIds(canon_ref))
-        return stage(batch)
+    def lookup() -> dict[str, str]:
+        t = ray.get(canon_ref)
+        return dict(zip(t["norm_surface"].to_pylist(),
+                        t["canonical_id"].to_pylist()))
 
-    return inst_ds.map_batches(canonicalize_batch, batch_format="pyarrow")
+    def rewrite(batch: pa.Table) -> pa.Table:
+        from .score import cached
+
+        get = cached(("canon", ref_key), lookup).get
+        out = (batch.append_column("subj", map_distinct(batch["h_norm"], get))
+               .append_column("obj", map_distinct(batch["t_norm"], get)))
+        return out.select(columns).filter(pc.field("subj").is_valid()
+                                          & pc.field("pred").is_valid()
+                                          & pc.field("obj").is_valid())
+
+    return partials_ds.map_batches(rewrite, batch_format="pyarrow")
 
 
-def canonicalize_ids(inst_ds, columns: list[str],
-                     broadcast_limit: int = CANON_BROADCAST_LIMIT):
-    """Size-gated rewrite of h_id/t_id to canonical ids.
-
-    The gate is the distinct-surface count. The partial row count, free
-    metadata once the partials are materialized, is an upper bound on it:
-    within ``broadcast_limit`` the map is folded on the driver. Above it
-    the bucketed argmax runs first, and its materialized row count — the
-    exact surface count — decides. A map within the limit is broadcast
-    and ids rewrite per batch; a larger one stays a Dataset and the
-    rewrite is two bucketed hash joins on the normalized surface key.
-    Both paths emit identical values and the same ``columns`` (h_id/t_id
-    rewritten).
-    """
-    partials = _partials(inst_ds)
-    if partials.count() <= broadcast_limit:
-        return _broadcast_rewrite(inst_ds, fold_canonical_map(partials))
-    canon_ds = build_canonical_dataset(partials).materialize()
-    if canon_ds.count() <= broadcast_limit:
-        return _broadcast_rewrite(inst_ds, _as_map(canon_ds))
-
-    # beyond the broadcast limit: the map is corpus-sized — rewrite via two
-    # bucketed hash joins on the surface key (inner joins are total: every
-    # surface in the instances is in the map by construction)
+def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
+    """Phase 3 over the gate: the map stays a Dataset and the rewrite is
+    two bucketed hash joins on the surface key. Rows with a null pred
+    (they have voted) are dropped first; inner joins drop exactly the
+    rows whose surface has no known id, as the broadcast lookup's null
+    does."""
     from ..functions.relational import shuffle_join
 
-    rows = inst_ds.count() + canon_ds.count()
+    rows = partials_ds.count() + canon_ds.count()
+    values = [c for c in columns if c not in ("subj", "obj")]
+    keyed = partials_ds.map_batches(
+        lambda t: t.filter(pc.field("pred").is_valid()),
+        batch_format="pyarrow")
+    joined_h = shuffle_join(keyed, canon_ds, "h_norm", "norm_surface",
+                            values + ["t_norm"], ["canonical_id"],
+                            rows_hint=rows)
 
-    def add_norms(batch: pa.Table) -> pa.Table:
-        h = _normalize_unique(batch.column("h_name").to_pandas())
-        t = _normalize_unique(batch.column("t_name").to_pandas())
-        return (batch.append_column("_h_norm", pa.array(h, pa.string()))
-                .append_column("_t_norm", pa.array(t, pa.string())))
+    def set_subj(df: pd.DataFrame) -> pd.DataFrame:
+        return df.rename(columns={"canonical_id": "subj"}).drop(
+            columns=["h_norm"])
 
-    with_norms = inst_ds.map_batches(add_norms, batch_format="pyarrow")
-    carry = [c for c in columns if c != "h_id"] + ["_t_norm"]
-    joined_h = shuffle_join(
-        with_norms, canon_ds, "_h_norm", "norm_surface",
-        carry, ["canonical_id"], rows_hint=rows)
-
-    def set_h(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(h_id=df["canonical_id"])
-        return df.drop(columns=["_h_norm", "canonical_id"])
-
-    joined_h = joined_h.map_batches(set_h, batch_format="pandas")
-    carry_t = [c for c in columns if c != "t_id"]
     joined_t = shuffle_join(
-        joined_h, canon_ds, "_t_norm", "norm_surface",
-        carry_t, ["canonical_id"], rows_hint=rows)
+        joined_h.map_batches(set_subj, batch_format="pandas"), canon_ds,
+        "t_norm", "norm_surface", values + ["subj"], ["canonical_id"],
+        rows_hint=rows)
 
-    def set_t(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(t_id=df["canonical_id"])
-        return df[columns]
+    def set_obj(df: pd.DataFrame) -> pd.DataFrame:
+        return df.rename(columns={"canonical_id": "obj"})[columns]
 
-    return joined_t.map_batches(set_t, batch_format="pandas")
+    return joined_t.map_batches(set_obj, batch_format="pandas")
+
+
+def canonicalize_ids(partials_ds, columns: list[str]):
+    """Size-gated rewrite of the surface-keyed triple partials to
+    canonical ids: rows of ``columns``, with subj/obj the canonical ids
+    of h_norm/t_norm and null-key rows dropped.
+
+    ``partials_ds`` must be materialized. Its votes are materialized too
+    and their row count, an upper bound on the distinct-surface count,
+    picks one bucket (driver fold, no shuffle) or coarse hash buckets for
+    the argmax. The map's row count — the exact surface count — then
+    decides: within ``CANON_BROADCAST_LIMIT`` the map is broadcast and
+    looked up per block, above it the rewrite is two bucketed hash
+    joins. Both paths emit identical rows.
+    """
+    import ray
+
+    from ..functions import relational
+
+    votes = partials_ds.map_batches(surface_votes,
+                                    batch_format="pyarrow").materialize()
+    n_votes = votes.count()
+    canon_ds = relational.hash_bucket_aggregate(
+        votes, ["norm_surface"], _argmax_bucket,
+        n_buckets=1 if n_votes <= CANON_BROADCAST_LIMIT else None,
+        rows_hint=n_votes).materialize()
+    if canon_ds.count() > CANON_BROADCAST_LIMIT:
+        return _join_rewrite(partials_ds, canon_ds, columns)
+    # empty blocks are skipped: Ray passes them through with the SOURCE
+    # schema
+    parts = [t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
+             for t in ray.get(canon_ds.to_arrow_refs()) if t.num_rows]
+    canon = pa.concat_tables(parts) if parts else _MAP_SCHEMA.empty_table()
+    return _broadcast_rewrite(partials_ds, canon, columns)

@@ -6,9 +6,8 @@ mentions are given). The KG build supplies its own mention detection behind
 the same ``[{name, pos}]`` contract: a pinned alias table (surface → entity
 id) compiled into a leftmost-longest regex, applied per sentence. The
 pipeline runs ``SentenceMentions`` as stateless tasks through
-``mentions_udf``, which compiles the table once per worker process; at
-100 TB the alias table is broadcast once via ``ray.put`` and read into that
-per-worker cache — never re-shipped per batch.
+``mentions_udf``, which compiles the table once per worker process —
+never re-shipped per batch.
 """
 
 from __future__ import annotations
@@ -135,24 +134,19 @@ class AliasMatcher:
         return out
 
 
-def mentions_udf(alias_ref=None, max_sent_tokens: int = MAX_SENT_TOKENS):
+def mentions_udf(max_sent_tokens: int = MAX_SENT_TOKENS):
     """Stateless-task form of ``SentenceMentions`` with per-worker cache.
 
     The alias table / compiled regex builds once per worker process (module
     cache in ``stages.score``); tasks schedule elastically with no actor
-    pool to ramp up. ``alias_ref`` may be a ``ray.put`` ObjectRef shared
-    across all workers on a node.
+    pool to ramp up.
     """
-
-    # stable per-worker cache key (ObjectRef ids survive serialization;
-    # id() would differ per deserialized copy)
-    ref_key = alias_ref.hex() if hasattr(alias_ref, "hex") else "default"
 
     def find_mentions(batch):
         from .score import cached
 
-        stage = cached(("mentions", ref_key, max_sent_tokens),
-                       lambda: SentenceMentions(alias_ref, max_sent_tokens))
+        stage = cached(("mentions", max_sent_tokens),
+                       lambda: SentenceMentions(max_sent_tokens))
         return stage(batch)
 
     return find_mentions
@@ -163,16 +157,11 @@ class SentenceMentions:
 
     Emits one row per sentence that has ≥2 mentions (anything less can't
     produce a relation instance). Alias table state is built once per
-    instance (once per worker via ``mentions_udf``); pass ``alias_ref`` (a ``ray.put`` ObjectRef) to share one copy per node.
+    instance (once per worker via ``mentions_udf``).
     """
 
-    def __init__(self, alias_ref=None, max_sent_tokens: int = MAX_SENT_TOKENS):
-        if alias_ref is not None:
-            import ray
-            table = ray.get(alias_ref)
-        else:
-            table = default_alias_table()
-        self.matcher = AliasMatcher(table)
+    def __init__(self, max_sent_tokens: int = MAX_SENT_TOKENS):
+        self.matcher = AliasMatcher(default_alias_table())
         self.max_sent_tokens = max_sent_tokens
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -166,29 +166,20 @@ class RelationScorer:
 
     def _encode(self, batch: pa.Table) -> dict:
         texts = batch.column("text").to_pylist()
-        # pre-tokenized rows (S1 JSONL source) carry token-level offsets —
-        # route them through the token branch (the reference's exclusive
-        # text/token split, base_encoder.py:91-96). Prefer the original
-        # token-list column: re-splitting the joined text would break tokens
-        # that contain internal spaces (e.g. 'New York').
+        # pre-tokenized rows (S1 JSONL source: ``sources.instances`` emits
+        # both columns) carry token-level offsets — route them through the
+        # token branch (the reference's exclusive text/token split,
+        # base_encoder.py:91-96). Use the original token-list column:
+        # re-splitting the joined text would break tokens that contain
+        # internal spaces (e.g. 'New York').
         token_lists = None
-        if ("tokens" in batch.column_names
-                and "is_token" in batch.column_names):
+        if "is_token" in batch.column_names:
             # `is_token` is the mode flag; text rows carry tokens == []
             flags = batch.column("is_token").to_pylist()
             if any(flags):
                 tl = batch.column("tokens").to_pylist()
                 token_lists = [list(t) if f else None
                                for t, f in zip(tl, flags)]
-        elif "tokens" in batch.column_names:
-            tl = batch.column("tokens").to_pylist()
-            if any(x for x in tl):          # null-free or legacy nulls
-                token_lists = [list(t) if t else None for t in tl]
-        elif "is_token" in batch.column_names:
-            flags = batch.column("is_token").to_pylist()
-            if any(flags):
-                token_lists = [t.split(" ") if f else None
-                               for t, f in zip(texts, flags)]
         return self.model.encoder.encode_batch(
             texts, _spans(batch, "h"), _spans(batch, "t"),
             token_lists=token_lists)

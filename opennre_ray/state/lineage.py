@@ -70,17 +70,6 @@ def is_shard_complete(out_root: str, shard: str, lineage: dict) -> bool:
     return all(m.get(k) == v for k, v in lineage.items())
 
 
-def completed_shards(out_root: str) -> list[str]:
-    if not os.path.isdir(out_root):
-        return []
-    out = []
-    for name in sorted(os.listdir(out_root)):
-        if name.startswith("shard=") and os.path.exists(
-                os.path.join(out_root, name, "manifest.json")):
-            out.append(name[len("shard="):])
-    return out
-
-
 def _fsync(path: str):
     fd = os.open(path, os.O_RDONLY)
     try:

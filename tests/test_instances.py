@@ -58,6 +58,8 @@ def test_scorer_honors_token_branch():
     batch = pa.table({
         "text": ["slow hash stream"],
         "is_token": [True],
+        "tokens": pa.array([["slow", "hash", "stream"]],
+                           pa.list_(pa.string())),
         "h_start": pa.array([1], pa.int32()),
         "h_end": pa.array([2], pa.int32()),
         "t_start": pa.array([2], pa.int32()),

@@ -48,7 +48,7 @@ def _poisoned_chain(target, sentinel=None):
                .column("url").to_pylist())
 
     def poisoned(*a, **kw):
-        *head, (name, fn) = orig(*a, **kw)
+        (*head, (name, fn)), settings = orig(*a, **kw)
 
         def boom(b):
             if (sentinel is None or os.path.exists(sentinel)) and \
@@ -56,7 +56,7 @@ def _poisoned_chain(target, sentinel=None):
                 raise RuntimeError("injected mid-write crash")
             return fn(b)
 
-        return head + [(name, boom)]
+        return head + [(name, boom)], settings
 
     return poisoned
 
@@ -416,7 +416,7 @@ def test_one_execution_publishes_each_shard_whole(ray_session, shards,
                                  columns=["doc_id", "text", "lang", "source"])
                  .map_batches(documents_to_pages, batch_format="pyarrow")
                  .select_columns(PAGE_COLUMNS))
-        want = (map_stages(pages, candidate_stages())
+        want = (map_stages(pages, candidate_stages()[0])
                 .select_columns(CANDIDATE_COLUMNS).to_pandas())
         assert len(got) == len(want) == m["num_rows"]
         if len(want):
@@ -488,7 +488,8 @@ def test_resume_redoes_shards_when_a_chain_constant_changes(
     ``pairs.MAX_GAP``, ``pairs.MAX_PAIRS_PER_SENT`` or
     ``ner.MAX_SENT_TOKENS`` changed redoes every shard and records the new
     value; an unchanged rerun skips them all. The manifest keeps every
-    key it had before these were added."""
+    key it had before these were added. The redone rows follow the
+    recorded value: one pair per sentence cuts the pair count."""
     from opennre_ray.stages import ner, pairs
 
     out = str(tmp_path / "kg")
@@ -512,6 +513,12 @@ def test_resume_redoes_shards_when_a_chain_constant_changes(
         assert manifest()[key] == getattr(mod, attr)
     res = run_kg_job(shards[:2], out, compact=False)
     assert res["completed"] == [] and res["skipped"] == names
+    pairs_out = manifest()["counters"]["pairs.rows_out"]
+    monkeypatch.setattr(pairs, "MAX_PAIRS_PER_SENT", 1)
+    res = run_kg_job(shards[:2], out, compact=False)
+    assert res["completed"] == names
+    assert manifest()["max_pairs_per_sent"] == 1
+    assert 0 < manifest()["counters"]["pairs.rows_out"] < pairs_out
 
 
 def test_compaction_reads_exactly_this_runs_shards(ray_session, shards,

@@ -12,21 +12,38 @@ import pytest
 
 from opennre_ray.functions.relational import hash_bucket_aggregate
 from opennre_ray.pipelines.bag import BagScorer
-from opennre_ray.stages.canonicalize import PartialSurfaceCounts, build_canonical_map
+from opennre_ray.pipelines.kg import _partial_triples
+from opennre_ray.stages.canonicalize import _argmax_bucket, surface_votes
+
+
+def _candidates(rows):
+    """Mention rows → candidate rows (predicate, score, url and model
+    hash filled in where a row does not set them)."""
+    return [{"pred_rel": "r", "score": 0.5, "url": "u", "model_hash": "m",
+             **r} for r in rows]
+
+
+def _canonical_map(ds, n_buckets):
+    """{norm_surface: canonical_id} through the library's own steps:
+    surface-keyed triple partials → per-block votes → the argmax in
+    ``n_buckets`` buckets (None: sized from the vote count)."""
+    votes = (ds.map_batches(_partial_triples, batch_format="pyarrow")
+             .map_batches(surface_votes, batch_format="pyarrow")
+             .materialize())
+    df = hash_bucket_aggregate(votes, ["norm_surface"], _argmax_bucket,
+                               n_buckets=n_buckets,
+                               rows_hint=votes.count()).to_pandas()
+    return dict(zip(df["norm_surface"], df["canonical_id"]))
 
 
 def test_partial_counts_absorb_hot_surface():
-    """A surface mentioned N times in a batch emits ONE partial row —
+    """A surface mentioned N times in a block emits ONE vote row —
     map-side combining is the salt (SURVEY §7.3, canonicalize.py phase 1)."""
     n = 10_000
-    batch = pa.table({
-        "h_name": ["France"] * n,
-        "h_id": ["Q142"] * n,
-        "t_name": [f"city{i}" for i in range(n)],
-        "t_id": [f"Q{i}" for i in range(n)],
-    })
-    out = PartialSurfaceCounts()(batch)
-    df = out.to_pandas()
+    batch = pa.Table.from_pylist(_candidates(
+        {"h_name": "France", "h_id": "Q142", "t_name": f"city{i}",
+         "t_id": f"Q{i}"} for i in range(n)))
+    df = surface_votes(_partial_triples(batch)).to_pandas()
     hot = df[df.norm_surface == "france"]
     assert len(hot) == 1
     assert hot.iloc[0]["cnt"] == n
@@ -39,8 +56,10 @@ def test_canonical_map_under_skew(ray_session):
               "t_id": "QP"}] * 500
             + [{"h_name": "france", "h_id": "QBAD", "t_name": "Lyon",
                 "t_id": "QL"}] * 3)
-    canon = build_canonical_map(rd.from_items(rows, override_num_blocks=8))
-    assert canon["france"] == "Q142"          # majority id wins
+    ds = rd.from_items(_candidates(rows), override_num_blocks=8)
+    for n_buckets in (1, None):
+        canon = _canonical_map(ds, n_buckets)
+        assert canon["france"] == "Q142"      # majority id wins
 
 
 def test_hash_bucket_aggregate_hot_key_exact(ray_session):
@@ -244,16 +263,13 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     """Over the surface-count limit, canonicalize_ids switches to the
     bucketed-join rewrite; output must be row-identical to the broadcast
     path (the size gate may never change semantics). The gate is the
-    distinct-surface count: partials over the limit whose surfaces fit
-    it are still broadcast, with no join."""
+    distinct-surface count: votes over the limit whose surfaces fit it
+    are still broadcast, with no join."""
     import ray.data as rd
 
     from opennre_ray.functions import relational
-    from opennre_ray.stages.canonicalize import (
-        _partials,
-        build_canonical_map,
-        canonicalize_ids,
-    )
+    from opennre_ray.pipelines.kg import _TRIPLE_COLUMNS
+    from opennre_ray.stages import canonicalize
 
     rng = np.random.default_rng(5)
     rows = []
@@ -266,13 +282,13 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
             "pred_rel": "r", "score": 0.5, "url": f"u{i}",
             "model_hash": "m",
         })
-    cols = ["h_id", "h_name", "t_id", "t_name", "pred_rel", "score",
-            "url", "model_hash"]
     ds = rd.from_items(rows, override_num_blocks=8)
-
-    def collect(out_ds):
-        df = out_ds.to_pandas()[cols]
-        return df.sort_values(cols).reset_index(drop=True)
+    partials = ds.map_batches(_partial_triples,
+                              batch_format="pyarrow").materialize()
+    n_votes = partials.map_batches(surface_votes,
+                                   batch_format="pyarrow").count()
+    n_surfaces = len(_canonical_map(ds, 1))
+    assert 0 < n_surfaces < n_votes
 
     joins = []
     orig_join = relational.shuffle_join
@@ -282,15 +298,20 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
         return orig_join(*a, **kw)
 
     monkeypatch.setattr(relational, "shuffle_join", counted_join)
-    bcast = collect(canonicalize_ids(ds, cols))                  # broadcast
-    assert not joins
-    n_surfaces = len(build_canonical_map(ds))
-    assert n_surfaces < _partials(ds).count()
-    gated = collect(canonicalize_ids(ds, cols, broadcast_limit=n_surfaces))
-    assert not joins
-    joined = collect(canonicalize_ids(ds, cols,
-                                      broadcast_limit=n_surfaces - 1))
-    assert len(joins) == 2
+    outs, calls = [], []
+    # broadcast (default limit); broadcast with the limit at the surface
+    # count (votes above it: the argmax runs bucketed); the join path
+    for limit in (canonicalize.CANON_BROADCAST_LIMIT, n_surfaces,
+                  n_surfaces - 1):
+        monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
+        df = canonicalize.canonicalize_ids(partials, _TRIPLE_COLUMNS
+                                           ).to_pandas()[_TRIPLE_COLUMNS]
+        outs.append(df.sort_values(_TRIPLE_COLUMNS).reset_index(drop=True))
+        calls.append(len(joins))
+        joins.clear()
+    bcast, gated, joined = outs
+    assert calls == [0, 0, 2]
+    assert bcast["n_evidence"].sum() == len(rows)
     pd.testing.assert_frame_equal(bcast, gated, check_dtype=False)
     pd.testing.assert_frame_equal(bcast, joined, check_dtype=False)
 
@@ -566,11 +587,10 @@ def test_finalize_zero_rows_writes_empty_graph(ray_session, tmp_path,
 
 
 def test_driver_folded_map_equals_bucketed_map(ray_session):
-    """The driver fold (under the gate) and the bucketed argmax (over it)
-    are one policy: equal maps, ties to the smaller id included."""
+    """The driver fold (one bucket, votes under the gate) and the
+    bucketed argmax (over it) are one policy: equal maps, ties to the
+    smaller id included."""
     import ray.data as rd
-
-    from opennre_ray.stages.canonicalize import fold_canonical_map
 
     rows = ([{"h_name": "France", "h_id": "Q142", "t_name": "Paris",
               "t_id": "QP"}] * 500
@@ -583,9 +603,63 @@ def test_driver_folded_map_equals_bucketed_map(ray_session):
     rows += [{"h_name": f"S{i % 50}", "h_id": f"E{rng.integers(4)}",
               "t_name": f"s{(i + 1) % 50}", "t_id": f"E{rng.integers(4)}"}
              for i in range(600)]
-    ds = rd.from_items(rows, override_num_blocks=8)
-    partials = ds.map_batches(PartialSurfaceCounts(),
-                              batch_format="pyarrow").materialize()
-    folded = fold_canonical_map(partials)
-    assert folded == build_canonical_map(ds)
+    ds = rd.from_items(_candidates(rows), override_num_blocks=8)
+    folded = _canonical_map(ds, 1)
+    assert folded == _canonical_map(ds, 8)
     assert folded["france"] == "Q142" and folded["tie"] == "QA"
+
+
+def test_finalize_null_pred_votes_and_null_id_surfaces(ray_session,
+                                                       monkeypatch):
+    """Rows with a null predicate are no triple but still vote: a surface
+    whose majority comes only from them keeps that canonical id. A
+    surface whose ids are all null has no canonical id, so its rows are
+    dropped; null ids never vote, so one id among nulls wins. Both paths
+    equal the pandas oracle."""
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples
+    from opennre_ray.stages import canonicalize
+
+    df = _hot_subj_candidates(400, seed=5)
+    # 'Hub': Q900 on 6 null-predicate rows, Q901 on 2 scored rows
+    hub = pd.DataFrame({
+        "h_id": ["Q900"] * 6 + ["Q901"] * 2,
+        "h_name": ["Hub", "HUB"] * 4,
+        "t_id": ["Q100"] * 8, "t_name": ["obj0"] * 8,
+        "pred_rel": [None] * 6 + ["r1", "r2"], "score": [0.5] * 8,
+        "url": [f"https://h/{i}" for i in range(8)], "model_hash": ["m0"] * 8})
+    # 'Ghost': every mention without an id
+    ghost = pd.DataFrame({
+        "h_id": [None] * 3 + ["Q3"], "h_name": ["Ghost"] * 3 + ["Ent3"],
+        "t_id": ["Q101", "Q102", "Q103", None],
+        "t_name": ["obj1", "obj2", "obj3", "ghost"],
+        "pred_rel": ["r0"] * 4, "score": [0.25] * 4,
+        "url": [f"https://g/{i}" for i in range(4)], "model_hash": ["m1"] * 4})
+    # 'Shade': mostly without an id; its one id still wins
+    shade = pd.DataFrame({
+        "h_id": [None, None, "Q950"], "h_name": ["Shade", "SHADE", "shade"],
+        "t_id": ["Q100"] * 3, "t_name": ["obj0"] * 3,
+        "pred_rel": ["r0"] * 3, "score": [0.75] * 3,
+        "url": [f"https://s/{i}" for i in range(3)], "model_hash": ["m2"] * 3})
+    df = pd.concat([df, hub, ghost, shade], ignore_index=True)
+    ds = rd.from_arrow(pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
+                                            preserve_index=False)
+                       ).repartition(4).materialize()
+    want = _finalize_oracle(df)
+    hub_rows = want[want["subj"].isin(["Q900", "Q901"])]
+    assert hub_rows[["subj", "pred", "obj"]].values.tolist() == [
+        ["Q900", "r1", "Q100"], ["Q900", "r2", "Q100"]]
+    shade_rows = want[want["subj"] == "Q950"]
+    assert shade_rows[["pred", "obj", "n_evidence"]].values.tolist() == [
+        ["r0", "Q100", 3]]
+    assert want["n_evidence"].sum() == df["pred_rel"].notna().sum() - 4
+    outs = []
+    for limit in (canonicalize.CANON_BROADCAST_LIMIT, 0):   # broadcast, join
+        monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
+        got = (finalize_triples(ds).to_pandas()
+               .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
+        pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
+                                      check_dtype=False)
+        outs.append(got)
+    pd.testing.assert_frame_equal(outs[0], outs[1])     # dtypes too

@@ -1,6 +1,8 @@
 """Stage-level tests: extraction byte-identity, NER, pair gen, scoring,
 canonicalization, multimodal plumbing."""
 
+import glob
+import json
 import os
 
 import numpy as np
@@ -184,24 +186,24 @@ def test_score_matrix_udf_is_the_block_path():
 
 def test_canonicalize_map(ray_session):
     import ray.data as rd
-    from opennre_ray.stages.canonicalize import (
-        CanonicalizeIds, build_canonical_map)
 
+    from opennre_ray.pipelines.kg import _TRIPLE_COLUMNS, _partial_triples
+    from opennre_ray.stages.canonicalize import canonicalize_ids
+
+    rows = [("Spark", "A", "table", "T"), ("spark", "B", "table", "T"),
+            ("SPARK", "B", "Table", "T"), ("Spark", "B", "TABLE", "X")]
     inst = rd.from_items([
-        {"h_name": "Spark", "h_id": "A", "t_name": "table", "t_id": "T"},
-        {"h_name": "spark", "h_id": "B", "t_name": "table", "t_id": "T"},
-        {"h_name": "SPARK", "h_id": "B", "t_name": "Table", "t_id": "T"},
-    ])
-    canon = build_canonical_map(inst)
-    # 'spark' surface: B appears 2×, A 1× → canonical B
-    assert canon["spark"] == "B"
-    assert canon["table"] == "T"
-    stage = CanonicalizeIds(canon)
-    out = stage(pa.table({
-        "h_name": ["Spark"], "h_id": ["A"],
-        "t_name": ["TABLE"], "t_id": ["X"]}))
-    assert out.column("h_id")[0].as_py() == "B"
-    assert out.column("t_id")[0].as_py() == "T"
+        {"h_name": h, "h_id": hi, "t_name": t, "t_id": ti, "pred_rel": "r",
+         "score": 0.5, "url": "u", "model_hash": "m"}
+        for h, hi, t, ti in rows])
+    partials = inst.map_batches(_partial_triples,
+                                batch_format="pyarrow").materialize()
+    out = canonicalize_ids(partials, _TRIPLE_COLUMNS).to_pandas()
+    # 'spark' surface: B appears 3×, A 1× → canonical B (the A row is
+    # rewritten); 'table': T 3×, X 1× → T
+    assert set(out["subj"]) == {"B"}
+    assert set(out["obj"]) == {"T"}
+    assert out["n_evidence"].sum() == len(rows)
 
 
 def test_multimodal_plumbing(ray_session, sf_dir):
@@ -246,7 +248,6 @@ def test_lineage_resume(tmp_path, ray_session):
     import pyarrow.parquet as pq
 
     from opennre_ray.pipelines.job import _run_job
-    from opennre_ray.state.lineage import completed_shards
 
     out = str(tmp_path / "graph")
     shards = {}
@@ -282,7 +283,13 @@ def test_lineage_resume(tmp_path, ray_session):
     built = calls()
     assert r1["completed"] == ["s0", "s1"]
     assert {n: sum(rows) for n, rows in built.items()} == {"s0": 10, "s1": 10}
-    assert completed_shards(os.path.join(out, "graph")) == ["s0", "s1"]
+    # exactly the built shards have a published manifest, each naming its
+    # own shard
+    manifests = sorted(glob.glob(os.path.join(out, "graph", "shard=*",
+                                              "manifest.json")))
+    assert [os.path.basename(os.path.dirname(m)) for m in manifests] == [
+        "shard=s0", "shard=s1"]
+    assert [json.load(open(m))["shard"] for m in manifests] == ["s0", "s1"]
     # resume: nothing re-runs
     r2 = run()
     assert r2["completed"] == [] and r2["skipped"] == ["s0", "s1"]
