@@ -12,10 +12,10 @@
                                     (h_norm, h_id, pred, t_norm, t_id):
                                     each name normalized once per distinct
                                     value; materialized)
-      → canonicalize               (the partials' votes folded on the
-                                    driver into the surface → id map, then
-                                    a broadcast rewrite of the partials'
-                                    surfaces to subj/obj)
+      → canonicalize               (the surface → id map folded on the
+                                    driver straight from the materialized
+                                    partials, then a broadcast rewrite of
+                                    the partials' surfaces to subj/obj)
       → triple dedup               (exact distinct (subj, pred, obj), the
                                     reference's fact-set semantics,
                                     data_loader.py:151-164: ONE range
@@ -24,8 +24,8 @@
         manifest
 
 Every stage streams; nothing materializes the full corpus — the tail
-materializes per-block partials and votes, whose size scales with
-distinct keys per block, not rows. The only exchange is the
+materializes the per-block partials, whose size scales with distinct
+keys per block, not rows. The only exchange is the
 ``sort("subj")`` inside ``finalize_triples``: it serves both the dedup
 (all partials of a triple share subj, so they share a range partition)
 and the adjacency order the graph is written in.
@@ -173,13 +173,13 @@ def finalize_triples(inst_ds):
     ordered by subj.
 
     Dedups exactly — the reference's distinct fact set,
-    ``data_loader.py:151-164`` — in three Ray Data executions: the
+    ``data_loader.py:151-164`` — in two Ray Data executions: the
     per-block partial keyed by surface (``_partial_triples``,
-    materialized), the canonical map's votes and fold over those partials
-    (``canonicalize_ids``, which rewrites the partials' surfaces to
-    canonical subj/obj), then ONE ``sort("subj")`` exchange and a merge
-    per range partition. Exact because the canonical id of a mention is
-    a function of its normalized surface alone, so the triple key is a
+    materialized), then ``canonicalize_ids`` (the canonical map folded
+    on the driver from those partials; their surfaces rewritten to
+    subj/obj), ONE ``sort("subj")`` exchange and a merge per range
+    partition. Exact because the canonical id of a mention is a
+    function of its normalized surface alone, so the triple key is a
     function of the partial key, and every aggregate decomposes. Used by
     ``extract_triples``, the sharded job's compaction and the queries'
     triples cache, so semantics cannot drift.

@@ -6,22 +6,22 @@ salted keys for head-entity skew". Design, over the surface-keyed triple
 partials of ``kg.finalize_triples`` (one row per block and distinct
 (h_norm, h_id, pred, t_norm, t_id), with its ``n_evidence`` row count):
 
-Phase 1 (votes, map-side combine): per block, both mention slots of the
-    partials become (norm_surface, entity_id) → cnt votes, the partial's
-    ``n_evidence`` as the count; null ids and null surfaces do not vote.
-    Head-entity skew (a country name on billions of pages) is absorbed
-    HERE — a hot surface contributes at most one vote row per (block,
-    entity) no matter how many mentions it has, so what moves next is
-    O(blocks × distinct surfaces), not O(rows). This is the "salted key"
-    two-phase pattern with the block id acting as the implicit salt. The
-    votes are materialized: their row count is free metadata, an upper
-    bound on the distinct-surface count.
-Phase 2 (per-surface argmax, ONE call): ``canonical_argmax`` (sum per
-    (surface, id), highest count, ties to the smaller id) runs through
-    ``hash_bucket_aggregate`` on ``norm_surface`` — as one bucket folded
-    on the driver with no shuffle while the votes are within
-    ``CANON_BROADCAST_LIMIT``, over coarse hash buckets above it. The
-    map's row count is the exact surface count.
+Phase 1 (votes): both mention slots of the partials become
+    (norm_surface, entity_id) → cnt votes, the partial's ``n_evidence``
+    as the count; null ids and null surfaces do not vote. Head-entity
+    skew (a country name on billions of pages) is absorbed by the
+    partials, the map-side combine: a hot surface contributes at most
+    one row per (block, partial key) however many mentions it has. This
+    is the "salted key" two-phase pattern with the block id as the salt.
+Phase 2 (per-surface argmax): ``canonical_argmax`` (sum per (surface,
+    id), highest count, ties to the smaller id). 2 × the partials' row
+    count (free metadata) bounds the surface count. Within
+    ``CANON_BROADCAST_LIMIT`` phases 1–2 run once on the driver over the
+    gathered partial blocks (``fold_canonical_map``) — on a multi-node
+    cluster the partial blocks (≤ limit / 2 rows), not the narrower
+    votes, move to the driver. Above it the votes are materialized per
+    block and the argmax runs through ``hash_bucket_aggregate`` on
+    ``norm_surface``; the map's row count is the exact surface count.
 Phase 3 (size-gated rewrite of the partials): subj = map[h_norm] and
     obj = map[t_norm], then rows with a null key are dropped (a null
     predicate, or a surface none of whose ids is known). A map within the
@@ -47,8 +47,8 @@ import pyarrow.compute as pc
 #: broadcast and the rewrite switches to bucketed hash joins. ~2M short
 #: strings ≈ low hundreds of MB — the driver/object-store comfort zone
 #: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
-#: vote row count, an upper bound on it, is checked first: within the
-#: limit the map is folded on the driver without a shuffle.
+#: vote bound, 2 × the partials' row count, is checked first: within the
+#: limit the map is folded on the driver from the partial blocks.
 CANON_BROADCAST_LIMIT = 2_000_000
 
 _MAP_SCHEMA = pa.schema([("norm_surface", pa.string()),
@@ -82,11 +82,12 @@ def canonical_argmax(votes: pa.Table) -> pa.Table:
 
 
 def surface_votes(partials: pa.Table) -> pa.Table:
-    """Phase 1 per block: both slots of the triple partials → one
-    (norm_surface, entity_id, cnt) row per distinct pair."""
+    """Phase 1: both slots of the triple partials → one (norm_surface,
+    entity_id, cnt) row per distinct pair; ids cast to string (a block
+    holding only null ids types them ``null``)."""
     votes = pa.concat_tables([
         pa.table({"norm_surface": partials.column(norm),
-                  "entity_id": partials.column(eid),
+                  "entity_id": partials.column(eid).cast(pa.string()),
                   "cnt": partials.column("n_evidence")})
         for norm, eid in (("h_norm", "h_id"), ("t_norm", "t_id"))])
     votes = votes.filter(pc.field("norm_surface").is_valid()
@@ -162,35 +163,51 @@ def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
     return joined_t.map_batches(set_obj, batch_format="pandas")
 
 
+def _blocks(ds) -> list[pa.Table]:
+    """The non-empty blocks of a materialized Dataset, on the driver. Ray
+    passes empty blocks on with another schema (the source's, or none)."""
+    import ray
+
+    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+
+
+def fold_canonical_map(partials_ds) -> pa.Table:
+    """Phases 1–2 on the driver, once over the concatenated partial
+    blocks. A block holding only nulls in a column types it ``null``;
+    the concatenation promotes it."""
+    blocks = _blocks(partials_ds)
+    if not blocks:
+        return _MAP_SCHEMA.empty_table()
+    return canonical_argmax(surface_votes(
+        pa.concat_tables(blocks, promote_options="default")))
+
+
 def canonicalize_ids(partials_ds, columns: list[str]):
     """Size-gated rewrite of the surface-keyed triple partials to
     canonical ids: rows of ``columns``, with subj/obj the canonical ids
     of h_norm/t_norm and null-key rows dropped.
 
-    ``partials_ds`` must be materialized. Its votes are materialized too
-    and their row count, an upper bound on the distinct-surface count,
-    picks one bucket (driver fold, no shuffle) or coarse hash buckets for
-    the argmax. The map's row count — the exact surface count — then
-    decides: within ``CANON_BROADCAST_LIMIT`` the map is broadcast and
-    looked up per block, above it the rewrite is two bucketed hash
-    joins. Both paths emit identical rows.
+    ``partials_ds`` must be materialized. While the vote bound (2 × its
+    row count) is within ``CANON_BROADCAST_LIMIT``, the map is folded on
+    the driver from the partial blocks and broadcast. Above it the votes
+    are materialized, the argmax runs in coarse hash buckets, and the
+    map's row count — the exact surface count — decides: within the
+    limit the map is broadcast, above it the rewrite is two bucketed
+    hash joins. All paths emit identical rows.
     """
-    import ray
-
     from ..functions import relational
 
+    if 2 * partials_ds.count() <= CANON_BROADCAST_LIMIT:
+        return _broadcast_rewrite(partials_ds, fold_canonical_map(partials_ds),
+                                  columns)
     votes = partials_ds.map_batches(surface_votes,
                                     batch_format="pyarrow").materialize()
-    n_votes = votes.count()
     canon_ds = relational.hash_bucket_aggregate(
         votes, ["norm_surface"], _argmax_bucket,
-        n_buckets=1 if n_votes <= CANON_BROADCAST_LIMIT else None,
-        rows_hint=n_votes).materialize()
+        rows_hint=votes.count()).materialize()
     if canon_ds.count() > CANON_BROADCAST_LIMIT:
         return _join_rewrite(partials_ds, canon_ds, columns)
-    # empty blocks are skipped: Ray passes them through with the SOURCE
-    # schema
-    parts = [t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
-             for t in ray.get(canon_ds.to_arrow_refs()) if t.num_rows]
-    canon = pa.concat_tables(parts) if parts else _MAP_SCHEMA.empty_table()
+    canon = pa.concat_tables([_MAP_SCHEMA.empty_table()] + [
+        t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
+        for t in _blocks(canon_ds)])
     return _broadcast_rewrite(partials_ds, canon, columns)

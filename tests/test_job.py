@@ -318,9 +318,13 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
     """The traced benchmark run (perfbench/tracing.py::patch_layers)
     swaps these module attributes for timing wrappers; the job and the
     compaction must reach each through its module at call time, and
-    ``_counted`` must see the candidate chain's stage names in order."""
+    ``_counted`` must see the candidate chain's stage names in order.
+    The compaction reaches ``hash_bucket_aggregate`` only over the
+    canonical map's size gate, so a second compaction runs with the
+    limit below the vote bound."""
     from opennre_ray.functions import relational
     from opennre_ray.pipelines import job, kg
+    from opennre_ray.stages import canonicalize
     from opennre_ray.state import lineage
 
     calls = {}
@@ -342,6 +346,10 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
     out = str(tmp_path / "kg")
     job.run_kg_job({"all": os.path.join(sf_dir, "documents.parquet")}, out,
                    compact=False)
+    job.compact_candidates(out)
+    assert [name for _, name in hooks if not calls.get(name)] == [
+        "hash_bucket_aggregate"]
+    monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", 0)
     job.compact_candidates(out)
 
     assert [name for _, name in hooks if not calls.get(name)] == []
@@ -537,3 +545,74 @@ def test_compaction_reads_exactly_this_runs_shards(ray_session, shards,
     one = read_triples(fresh)
     assert len(one) != len(all_four)
     pd.testing.assert_frame_equal(read_triples(out), one)
+
+
+#: crash points of ``lineage.publish`` (ALICE, OSDI 2014): each step, the
+#: call that follows it (the first such call after that many of the
+#: publish's renames) and the triples dirs the crash leaves behind
+_PUBLISH_CRASH_POINTS = {
+    "write": ("fsync", 0, ["_tmp", "triples"]),
+    "fsync": ("rename", 0, ["_tmp", "triples"]),
+    "rename_aside": ("rename", 1, ["_old", "_tmp"]),
+    "rename": ("fsync", 2, ["_old", "triples"]),
+}
+
+
+@pytest.fixture(scope="module")
+def compacted(ray_session, shards, tmp_path_factory):
+    """Candidate shards built once, with the graph an uninterrupted
+    compaction makes of them."""
+    out = str(tmp_path_factory.mktemp("compacted") / "kg")
+    run_kg_job(shards[:2], out)
+    return out, read_triples(out)
+
+
+@pytest.mark.parametrize("step", list(_PUBLISH_CRASH_POINTS))
+def test_compaction_recovers_from_a_crash_at_each_publish_step(
+        compacted, tmp_path, monkeypatch, step):
+    """The compaction's publish of ``triples/`` crashes right after
+    ``step``, over a previous graph. Rerunning the compaction publishes
+    the uninterrupted run's graph and leaves no tmp or old dir; the model
+    pass is not rerun."""
+    import shutil
+
+    import pandas as pd
+
+    from opennre_ray.pipelines.job import compact_candidates
+    from opennre_ray.state import lineage
+
+    src, want = compacted
+    out = str(tmp_path / "kg")
+    shutil.copytree(src, out)            # candidate shards + previous graph
+    op, after, left = _PUBLISH_CRASH_POINTS[step]
+    renames = []
+    real_rename, real_fsync = os.rename, lineage._fsync
+
+    def crash_if_due(name):
+        if name == op and len(renames) == after:
+            raise OSError(f"injected crash after {step}")
+
+    def rename(a, b):
+        if os.path.dirname(b) == out:
+            crash_if_due("rename")
+            renames.append(b)
+        return real_rename(a, b)
+
+    def fsync(path):
+        crash_if_due("fsync")
+        return real_fsync(path)
+
+    monkeypatch.setattr(os, "rename", rename)
+    monkeypatch.setattr(lineage, "_fsync", fsync)
+    with pytest.raises(OSError, match=f"injected crash after {step}"):
+        compact_candidates(out)
+    monkeypatch.undo()
+
+    def triples_dirs():
+        return sorted(n.split("-")[0] for n in os.listdir(out)
+                      if "triples" in n)
+
+    assert triples_dirs() == left
+    compact_candidates(out)
+    assert triples_dirs() == ["triples"]
+    pd.testing.assert_frame_equal(read_triples(out), want)

@@ -13,7 +13,11 @@ import pytest
 from opennre_ray.functions.relational import hash_bucket_aggregate
 from opennre_ray.pipelines.bag import BagScorer
 from opennre_ray.pipelines.kg import _partial_triples
-from opennre_ray.stages.canonicalize import _argmax_bucket, surface_votes
+from opennre_ray.stages.canonicalize import (
+    _argmax_bucket,
+    fold_canonical_map,
+    surface_votes,
+)
 
 
 def _candidates(rows):
@@ -25,11 +29,17 @@ def _candidates(rows):
 
 def _canonical_map(ds, n_buckets):
     """{norm_surface: canonical_id} through the library's own steps:
-    surface-keyed triple partials → per-block votes → the argmax in
-    ``n_buckets`` buckets (None: sized from the vote count)."""
-    votes = (ds.map_batches(_partial_triples, batch_format="pyarrow")
-             .map_batches(surface_votes, batch_format="pyarrow")
-             .materialize())
+    surface-keyed triple partials, then the driver fold (``n_buckets=1``)
+    or per-block votes → the argmax in ``n_buckets`` buckets (None: sized
+    from the vote count)."""
+    partials = ds.map_batches(_partial_triples,
+                              batch_format="pyarrow").materialize()
+    if n_buckets == 1:
+        t = fold_canonical_map(partials)
+        return dict(zip(t["norm_surface"].to_pylist(),
+                        t["canonical_id"].to_pylist()))
+    votes = partials.map_batches(surface_votes,
+                                 batch_format="pyarrow").materialize()
     df = hash_bucket_aggregate(votes, ["norm_surface"], _argmax_bucket,
                                n_buckets=n_buckets,
                                rows_hint=votes.count()).to_pandas()
@@ -79,40 +89,6 @@ def test_hash_bucket_aggregate_hot_key_exact(ray_session):
     assert len(out) == 1001
     hot = out[out.k == "hot"].iloc[0]
     assert hot["n"] == 9000 and hot["s"] == 9000.0
-
-
-def test_single_bucket_aggregate_equals_bucketed(ray_session):
-    """n_buckets=1 folds on the driver without a shuffle and equals the
-    bucketed aggregate, with a partial combiner and with emptied blocks
-    (which Ray passes on with the source schema) in the input."""
-    import ray
-    import ray.data as rd
-
-    rows = [{"k": "cold", "v": 2.0}] * 125 + \
-           [{"k": f"k{i % 30}", "v": float(i)} for i in range(875)]
-    ds = rd.from_items(rows, override_num_blocks=8).map_batches(
-        lambda t: t.slice(0, 0) if t.column("k")[0].as_py() == "cold"
-        else t, batch_format="pyarrow").materialize()
-    assert 0 in [t.num_rows for t in ray.get(ds.to_arrow_refs())]
-
-    def part(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("k", as_index=False).agg(n=("v", "size"),
-                                                  s=("v", "sum"))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("k", as_index=False).agg(n=("n", "sum"),
-                                                  s=("s", "sum"))
-
-    def run(n_buckets):
-        return (hash_bucket_aggregate(ds, ["k"], merge, n_buckets=n_buckets,
-                                      partial=part).to_pandas()
-                .sort_values("k", ignore_index=True))
-
-    one = run(1)
-    assert len(one) == 30 and one["n"].sum() == 875
-    pd.testing.assert_frame_equal(one, run(8))
-    empty = hash_bucket_aggregate(ds.limit(0), ["k"], merge, n_buckets=1)
-    assert empty.count() == 0
 
 
 def test_adaptive_buckets_bound_per_bucket_rows():
@@ -262,9 +238,11 @@ def test_anti_join_bloom_path_cross_dtype_and_schema(ray_session):
 def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     """Over the surface-count limit, canonicalize_ids switches to the
     bucketed-join rewrite; output must be row-identical to the broadcast
-    path (the size gate may never change semantics). The gate is the
-    distinct-surface count: votes over the limit whose surfaces fit it
-    are still broadcast, with no join."""
+    path (the size gate may never change semantics). Within the limit
+    the vote bound (2 × partial rows) keeps the argmax on the driver,
+    with no ``hash_bucket_aggregate`` call; over it the argmax runs
+    bucketed, and the distinct-surface count still decides: votes over
+    the limit whose surfaces fit it are broadcast, with no join."""
     import ray.data as rd
 
     from opennre_ray.functions import relational
@@ -290,27 +268,38 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     n_surfaces = len(_canonical_map(ds, 1))
     assert 0 < n_surfaces < n_votes
 
-    joins = []
-    orig_join = relational.shuffle_join
+    aggs, joins = [], []
+    orig_agg, orig_join = (relational.hash_bucket_aggregate,
+                           relational.shuffle_join)
+
+    def counted_agg(ds, key_cols, *a, **kw):
+        aggs.append(key_cols)
+        return orig_agg(ds, key_cols, *a, **kw)
 
     def counted_join(*a, **kw):
         joins.append(a)
         return orig_join(*a, **kw)
 
+    monkeypatch.setattr(relational, "hash_bucket_aggregate", counted_agg)
     monkeypatch.setattr(relational, "shuffle_join", counted_join)
     outs, calls = [], []
-    # broadcast (default limit); broadcast with the limit at the surface
-    # count (votes above it: the argmax runs bucketed); the join path
+    # the driver fold (default limit); broadcast with the limit at the
+    # surface count (the vote bound above it: the argmax runs bucketed);
+    # the join path
     for limit in (canonicalize.CANON_BROADCAST_LIMIT, n_surfaces,
                   n_surfaces - 1):
         monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
         df = canonicalize.canonicalize_ids(partials, _TRIPLE_COLUMNS
                                            ).to_pandas()[_TRIPLE_COLUMNS]
         outs.append(df.sort_values(_TRIPLE_COLUMNS).reset_index(drop=True))
-        calls.append(len(joins))
+        calls.append((list(aggs), len(joins)))
+        aggs.clear()
         joins.clear()
     bcast, gated, joined = outs
-    assert calls == [0, 0, 2]
+    # (key columns of each hash_bucket_aggregate call, joins): the argmax
+    # buckets on norm_surface, each shuffle_join on its tagged _key
+    assert calls == [([], 0), ([["norm_surface"]], 0),
+                     ([["norm_surface"], ["_key"], ["_key"]], 2)]
     assert bcast["n_evidence"].sum() == len(rows)
     pd.testing.assert_frame_equal(bcast, gated, check_dtype=False)
     pd.testing.assert_frame_equal(bcast, joined, check_dtype=False)
@@ -607,6 +596,43 @@ def test_driver_folded_map_equals_bucketed_map(ray_session):
     folded = _canonical_map(ds, 1)
     assert folded == _canonical_map(ds, 8)
     assert folded["france"] == "Q142" and folded["tie"] == "QA"
+
+
+@pytest.mark.parametrize("limit", [None, 0])      # driver fold, join path
+def test_finalize_skips_empty_and_promotes_null_typed_blocks(
+        ray_session, monkeypatch, limit):
+    """The partial blocks reach canonicalize as Ray hands them on: blocks
+    emptied upstream of ``_partial_triples`` arrive without its columns,
+    and a block whose ``h_id`` is all null is typed ``null`` by
+    ``rd.from_items``. The driver fold skips the first and promotes the
+    second to string, as do the per-block votes over the gate; the graph
+    equals the pandas oracle."""
+    import ray
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples
+    from opennre_ray.stages import canonicalize
+
+    df = _hot_subj_candidates(400, seed=7)
+    df.loc[100:149, "h_id"] = None                   # block 2 of 8
+    for lo in (200, 300):                            # blocks 4 and 6
+        df.loc[lo:lo + 49, "url"] = [f"https://drop/{i}" for i in range(50)]
+    ds = rd.from_items(df.to_dict("records"), override_num_blocks=8
+                       ).map_batches(
+        lambda t: t.slice(0, 0)
+        if t["url"][0].as_py().startswith("https://drop/") else t,
+        batch_format="pyarrow").materialize()
+    blocks = ray.get(ds.to_arrow_refs())
+    assert sorted(t.num_rows for t in blocks) == [0, 0] + [50] * 6
+    assert pa.null() in [t.schema.field("h_id").type for t in blocks
+                         if t.num_rows]
+    if limit is not None:
+        monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
+    got = (finalize_triples(ds).to_pandas()
+           .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
+    want = _finalize_oracle(df[~df["url"].str.startswith("https://drop/")])
+    pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
+                                  check_dtype=False)
 
 
 def test_finalize_null_pred_votes_and_null_id_surfaces(ray_session,
