@@ -119,7 +119,11 @@ def hash_bucket_aggregate(ds, key_cols, per_bucket, n_buckets: int | None = None
     ``n_buckets``: explicit bucket count; default derives from ``rows_hint``
     (pass the parquet-metadata row count when cheaply known) so per-bucket
     size stays bounded as inputs grow — a fixed count would put rows/64 of
-    the input in a single worker's heap at 100× scale.
+    the input in a single worker's heap at 100× scale. ``n_buckets=1``
+    puts every row in one bucket, so there is nothing to shuffle: one
+    task runs ``per_bucket`` once over all the input's blocks, read from
+    the object store (pass it only for an input one worker can hold,
+    e.g. behind a size gate).
 
     ``partial``: optional map-side combiner fn(DataFrame) -> DataFrame
     run per input BLOCK before the bucket shuffle. For a decomposable
@@ -140,13 +144,31 @@ def hash_bucket_aggregate(ds, key_cols, per_bucket, n_buckets: int | None = None
             return partial(df) if len(df) else df
         ds = ds.map_batches(partial_block, batch_format="pandas")
 
+    def keyed_empty() -> pd.DataFrame:
+        return pd.DataFrame({c: pd.Series([], dtype="object")
+                             for c in key_cols})
+
+    if n_buckets == 1:
+        import ray
+        import ray.data as rd
+
+        @ray.remote
+        def one_bucket(*blocks: pa.Table) -> pa.Table:
+            # empty blocks are skipped: Ray passes them through upstream
+            # UDFs with the SOURCE schema, which would add its columns here
+            frames = [t.to_pandas() for t in blocks if t.num_rows]
+            out = (per_bucket(pd.concat(frames, ignore_index=True)) if frames
+                   else keyed_empty())
+            return pa.Table.from_pandas(out, preserve_index=False)
+
+        return rd.from_arrow_refs([one_bucket.remote(*ds.to_arrow_refs())])
+
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             # Ray passes empty blocks through upstream UDFs unchanged, so
             # an all-empty input arrives here with the SOURCE schema (or
             # none) — emit a keyed empty frame instead of KeyError-ing
-            out = pd.DataFrame({c: pd.Series([], dtype="object")
-                                for c in key_cols})
+            out = keyed_empty()
             out["_bucket"] = pd.Series([], dtype="int64")
             return out
         return df.assign(_bucket=canonical_bucket(df, key_cols, n_buckets))

@@ -12,8 +12,8 @@
                                     (h_norm, h_id, pred, t_norm, t_id):
                                     each name normalized once per distinct
                                     value; materialized)
-      → canonicalize               (the surface → id map folded on the
-                                    driver straight from the materialized
+      → canonicalize               (the surface → id map folded in one
+                                    task straight from the materialized
                                     partials, then a broadcast rewrite of
                                     the partials' surfaces to subj/obj)
       → triple dedup               (exact distinct (subj, pred, obj), the
@@ -176,7 +176,7 @@ def finalize_triples(inst_ds):
     ``data_loader.py:151-164`` — in two Ray Data executions: the
     per-block partial keyed by surface (``_partial_triples``,
     materialized), then ``canonicalize_ids`` (the canonical map folded
-    on the driver from those partials; their surfaces rewritten to
+    in one task from those partials; their surfaces rewritten to
     subj/obj), ONE ``sort("subj")`` exchange and a merge per range
     partition. Exact because the canonical id of a mention is a
     function of its normalized surface alone, so the triple key is a

@@ -14,14 +14,14 @@ Phase 1 (votes): both mention slots of the partials become
     one row per (block, partial key) however many mentions it has. This
     is the "salted key" two-phase pattern with the block id as the salt.
 Phase 2 (per-surface argmax): ``canonical_argmax`` (sum per (surface,
-    id), highest count, ties to the smaller id). 2 × the partials' row
-    count (free metadata) bounds the surface count. Within
-    ``CANON_BROADCAST_LIMIT`` phases 1–2 run once on the driver over the
-    gathered partial blocks (``fold_canonical_map``) — on a multi-node
-    cluster the partial blocks (≤ limit / 2 rows), not the narrower
-    votes, move to the driver. Above it the votes are materialized per
-    block and the argmax runs through ``hash_bucket_aggregate`` on
-    ``norm_surface``; the map's row count is the exact surface count.
+    id), highest count, ties to the smaller id) through
+    ``hash_bucket_aggregate`` on ``norm_surface``. While 2 × the
+    partials' row count (free metadata, a bound on the surface count) is
+    within ``CANON_BROADCAST_LIMIT``, phases 1–2 run as ONE bucket over
+    the partials (``fold_canonical_map``, one task; on a multi-node
+    cluster the partials, not the narrower votes, move to it); above it
+    over materialized votes in coarse buckets. The map's row count is
+    the exact surface count.
 Phase 3 (size-gated rewrite of the partials): subj = map[h_norm] and
     obj = map[t_norm], then rows with a null key are dropped (a null
     predicate, or a surface none of whose ids is known). A map within the
@@ -48,7 +48,7 @@ import pyarrow.compute as pc
 #: strings ≈ low hundreds of MB — the driver/object-store comfort zone
 #: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
 #: vote bound, 2 × the partials' row count, is checked first: within the
-#: limit the map is folded on the driver from the partial blocks.
+#: limit the map is folded in one bucket straight from the partials.
 CANON_BROADCAST_LIMIT = 2_000_000
 
 _MAP_SCHEMA = pa.schema([("norm_surface", pa.string()),
@@ -101,6 +101,15 @@ def _argmax_bucket(g: pd.DataFrame) -> pd.DataFrame:
     """``canonical_argmax`` as a ``hash_bucket_aggregate`` bucket step."""
     return canonical_argmax(
         pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
+
+
+def fold_canonical_map(partials: pd.DataFrame) -> pd.DataFrame:
+    """Phases 1–2 over all the partials at once: the one-bucket
+    ``hash_bucket_aggregate`` step under the size gate."""
+    votes = surface_votes(pa.Table.from_pandas(
+        partials[["h_norm", "h_id", "t_norm", "t_id", "n_evidence"]],
+        preserve_index=False))
+    return canonical_argmax(votes).to_pandas()
 
 
 def _broadcast_rewrite(partials_ds, canon: pa.Table, columns: list[str]):
@@ -163,51 +172,37 @@ def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
     return joined_t.map_batches(set_obj, batch_format="pandas")
 
 
-def _blocks(ds) -> list[pa.Table]:
-    """The non-empty blocks of a materialized Dataset, on the driver. Ray
-    passes empty blocks on with another schema (the source's, or none)."""
-    import ray
-
-    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-
-
-def fold_canonical_map(partials_ds) -> pa.Table:
-    """Phases 1–2 on the driver, once over the concatenated partial
-    blocks. A block holding only nulls in a column types it ``null``;
-    the concatenation promotes it."""
-    blocks = _blocks(partials_ds)
-    if not blocks:
-        return _MAP_SCHEMA.empty_table()
-    return canonical_argmax(surface_votes(
-        pa.concat_tables(blocks, promote_options="default")))
-
-
 def canonicalize_ids(partials_ds, columns: list[str]):
     """Size-gated rewrite of the surface-keyed triple partials to
     canonical ids: rows of ``columns``, with subj/obj the canonical ids
     of h_norm/t_norm and null-key rows dropped.
 
     ``partials_ds`` must be materialized. While the vote bound (2 × its
-    row count) is within ``CANON_BROADCAST_LIMIT``, the map is folded on
-    the driver from the partial blocks and broadcast. Above it the votes
-    are materialized, the argmax runs in coarse hash buckets, and the
-    map's row count — the exact surface count — decides: within the
-    limit the map is broadcast, above it the rewrite is two bucketed
-    hash joins. All paths emit identical rows.
+    row count) is within ``CANON_BROADCAST_LIMIT`` the argmax runs as
+    one bucket, one task over the partials; above it over materialized
+    votes in coarse hash buckets. The map's row count — the exact
+    surface count — then decides: within the limit the map is broadcast
+    and looked up per block, above it the rewrite is two bucketed hash
+    joins. All paths emit identical rows.
     """
+    import ray
+
     from ..functions import relational
 
     if 2 * partials_ds.count() <= CANON_BROADCAST_LIMIT:
-        return _broadcast_rewrite(partials_ds, fold_canonical_map(partials_ds),
-                                  columns)
-    votes = partials_ds.map_batches(surface_votes,
-                                    batch_format="pyarrow").materialize()
-    canon_ds = relational.hash_bucket_aggregate(
-        votes, ["norm_surface"], _argmax_bucket,
-        rows_hint=votes.count()).materialize()
+        canon_ds = relational.hash_bucket_aggregate(
+            partials_ds, ["norm_surface"], fold_canonical_map, n_buckets=1)
+    else:
+        votes = partials_ds.map_batches(surface_votes,
+                                        batch_format="pyarrow").materialize()
+        canon_ds = relational.hash_bucket_aggregate(
+            votes, ["norm_surface"], _argmax_bucket, rows_hint=votes.count())
+    canon_ds = canon_ds.materialize()
     if canon_ds.count() > CANON_BROADCAST_LIMIT:
         return _join_rewrite(partials_ds, canon_ds, columns)
-    canon = pa.concat_tables([_MAP_SCHEMA.empty_table()] + [
-        t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
-        for t in _blocks(canon_ds)])
+    # empty blocks are skipped: Ray passes them through with the SOURCE
+    # schema
+    parts = [t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
+             for t in ray.get(canon_ds.to_arrow_refs()) if t.num_rows]
+    canon = pa.concat_tables(parts) if parts else _MAP_SCHEMA.empty_table()
     return _broadcast_rewrite(partials_ds, canon, columns)

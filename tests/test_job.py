@@ -318,13 +318,9 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
     """The traced benchmark run (perfbench/tracing.py::patch_layers)
     swaps these module attributes for timing wrappers; the job and the
     compaction must reach each through its module at call time, and
-    ``_counted`` must see the candidate chain's stage names in order.
-    The compaction reaches ``hash_bucket_aggregate`` only over the
-    canonical map's size gate, so a second compaction runs with the
-    limit below the vote bound."""
+    ``_counted`` must see the candidate chain's stage names in order."""
     from opennre_ray.functions import relational
     from opennre_ray.pipelines import job, kg
-    from opennre_ray.stages import canonicalize
     from opennre_ray.state import lineage
 
     calls = {}
@@ -346,10 +342,6 @@ def test_benchmark_hooks_are_looked_up_at_call_time(ray_session, sf_dir,
     out = str(tmp_path / "kg")
     job.run_kg_job({"all": os.path.join(sf_dir, "documents.parquet")}, out,
                    compact=False)
-    job.compact_candidates(out)
-    assert [name for _, name in hooks if not calls.get(name)] == [
-        "hash_bucket_aggregate"]
-    monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", 0)
     job.compact_candidates(out)
 
     assert [name for _, name in hooks if not calls.get(name)] == []

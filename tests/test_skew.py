@@ -29,20 +29,21 @@ def _candidates(rows):
 
 def _canonical_map(ds, n_buckets):
     """{norm_surface: canonical_id} through the library's own steps:
-    surface-keyed triple partials, then the driver fold (``n_buckets=1``)
-    or per-block votes → the argmax in ``n_buckets`` buckets (None: sized
-    from the vote count)."""
+    surface-keyed triple partials, then the fold over them as one
+    bucket (``n_buckets=1``) or per-block votes → the argmax in
+    ``n_buckets`` buckets (None: sized from the vote count)."""
     partials = ds.map_batches(_partial_triples,
                               batch_format="pyarrow").materialize()
     if n_buckets == 1:
-        t = fold_canonical_map(partials)
-        return dict(zip(t["norm_surface"].to_pylist(),
-                        t["canonical_id"].to_pylist()))
-    votes = partials.map_batches(surface_votes,
-                                 batch_format="pyarrow").materialize()
-    df = hash_bucket_aggregate(votes, ["norm_surface"], _argmax_bucket,
-                               n_buckets=n_buckets,
-                               rows_hint=votes.count()).to_pandas()
+        canon = hash_bucket_aggregate(partials, ["norm_surface"],
+                                      fold_canonical_map, n_buckets=1)
+    else:
+        votes = partials.map_batches(surface_votes,
+                                     batch_format="pyarrow").materialize()
+        canon = hash_bucket_aggregate(votes, ["norm_surface"], _argmax_bucket,
+                                      n_buckets=n_buckets,
+                                      rows_hint=votes.count())
+    df = canon.to_pandas()
     return dict(zip(df["norm_surface"], df["canonical_id"]))
 
 
@@ -89,6 +90,40 @@ def test_hash_bucket_aggregate_hot_key_exact(ray_session):
     assert len(out) == 1001
     hot = out[out.k == "hot"].iloc[0]
     assert hot["n"] == 9000 and hot["s"] == 9000.0
+
+
+def test_single_bucket_aggregate_equals_bucketed(ray_session):
+    """n_buckets=1 folds in one task without a shuffle and equals the
+    bucketed aggregate, with a partial combiner and with emptied blocks
+    (which Ray passes on with the source schema) in the input."""
+    import ray
+    import ray.data as rd
+
+    rows = [{"k": "cold", "v": 2.0}] * 125 + \
+           [{"k": f"k{i % 30}", "v": float(i)} for i in range(875)]
+    ds = rd.from_items(rows, override_num_blocks=8).map_batches(
+        lambda t: t.slice(0, 0) if t.column("k")[0].as_py() == "cold"
+        else t, batch_format="pyarrow").materialize()
+    assert 0 in [t.num_rows for t in ray.get(ds.to_arrow_refs())]
+
+    def part(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False).agg(n=("v", "size"),
+                                                  s=("v", "sum"))
+
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False).agg(n=("n", "sum"),
+                                                  s=("s", "sum"))
+
+    def run(n_buckets):
+        return (hash_bucket_aggregate(ds, ["k"], merge, n_buckets=n_buckets,
+                                      partial=part).to_pandas()
+                .sort_values("k", ignore_index=True))
+
+    one = run(1)
+    assert len(one) == 30 and one["n"].sum() == 875
+    pd.testing.assert_frame_equal(one, run(8))
+    empty = hash_bucket_aggregate(ds.limit(0), ["k"], merge, n_buckets=1)
+    assert empty.count() == 0
 
 
 def test_adaptive_buckets_bound_per_bucket_rows():
@@ -239,10 +274,12 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     """Over the surface-count limit, canonicalize_ids switches to the
     bucketed-join rewrite; output must be row-identical to the broadcast
     path (the size gate may never change semantics). Within the limit
-    the vote bound (2 × partial rows) keeps the argmax on the driver,
-    with no ``hash_bucket_aggregate`` call; over it the argmax runs
-    bucketed, and the distinct-surface count still decides: votes over
-    the limit whose surfaces fit it are broadcast, with no join."""
+    the vote bound (2 × partial rows) keeps the argmax in one
+    ``hash_bucket_aggregate`` bucket over the materialized partials
+    themselves, with no votes execution. Over it the argmax runs
+    bucketed over the votes, and the distinct-surface count still
+    decides: votes over the limit whose surfaces fit it are broadcast,
+    with no join."""
     import ray.data as rd
 
     from opennre_ray.functions import relational
@@ -273,7 +310,7 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
                            relational.shuffle_join)
 
     def counted_agg(ds, key_cols, *a, **kw):
-        aggs.append(key_cols)
+        aggs.append((key_cols, kw.get("n_buckets"), ds is partials))
         return orig_agg(ds, key_cols, *a, **kw)
 
     def counted_join(*a, **kw):
@@ -283,7 +320,7 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     monkeypatch.setattr(relational, "hash_bucket_aggregate", counted_agg)
     monkeypatch.setattr(relational, "shuffle_join", counted_join)
     outs, calls = [], []
-    # the driver fold (default limit); broadcast with the limit at the
+    # the one-bucket fold (default limit); broadcast with the limit at the
     # surface count (the vote bound above it: the argmax runs bucketed);
     # the join path
     for limit in (canonicalize.CANON_BROADCAST_LIMIT, n_surfaces,
@@ -296,10 +333,12 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
         aggs.clear()
         joins.clear()
     bcast, gated, joined = outs
-    # (key columns of each hash_bucket_aggregate call, joins): the argmax
-    # buckets on norm_surface, each shuffle_join on its tagged _key
-    assert calls == [([], 0), ([["norm_surface"]], 0),
-                     ([["norm_surface"], ["_key"], ["_key"]], 2)]
+    # per hash_bucket_aggregate call (key columns, n_buckets, input is
+    # the partials), then the join count: the argmax buckets on
+    # norm_surface, each shuffle_join on its tagged _key
+    fold = (["norm_surface"], 1, True)
+    argmax, join = (["norm_surface"], None, False), (["_key"], None, False)
+    assert calls == [([fold], 0), ([argmax], 0), ([argmax, join, join], 2)]
     assert bcast["n_evidence"].sum() == len(rows)
     pd.testing.assert_frame_equal(bcast, gated, check_dtype=False)
     pd.testing.assert_frame_equal(bcast, joined, check_dtype=False)
@@ -441,7 +480,7 @@ def test_hash_bucket_aggregate_partial_combiner_bounds_hot_key(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# finalize tail: driver-folded canonical map + one range exchange on subj
+# finalize tail: one-bucket canonical map + one range exchange on subj
 # ---------------------------------------------------------------------------
 
 _CAND_SCHEMA = pa.schema([("h_id", pa.string()), ("h_name", pa.string()),
@@ -576,9 +615,9 @@ def test_finalize_zero_rows_writes_empty_graph(ray_session, tmp_path,
 
 
 def test_driver_folded_map_equals_bucketed_map(ray_session):
-    """The driver fold (one bucket, votes under the gate) and the
-    bucketed argmax (over it) are one policy: equal maps, ties to the
-    smaller id included."""
+    """The one-bucket fold over the partials (under the gate) and the
+    bucketed argmax over the votes (over it) are one policy: equal maps,
+    ties to the smaller id included."""
     import ray.data as rd
 
     rows = ([{"h_name": "France", "h_id": "Q142", "t_name": "Paris",
@@ -598,13 +637,13 @@ def test_driver_folded_map_equals_bucketed_map(ray_session):
     assert folded["france"] == "Q142" and folded["tie"] == "QA"
 
 
-@pytest.mark.parametrize("limit", [None, 0])      # driver fold, join path
+@pytest.mark.parametrize("limit", [None, 0])      # one bucket, join path
 def test_finalize_skips_empty_and_promotes_null_typed_blocks(
         ray_session, monkeypatch, limit):
     """The partial blocks reach canonicalize as Ray hands them on: blocks
     emptied upstream of ``_partial_triples`` arrive without its columns,
     and a block whose ``h_id`` is all null is typed ``null`` by
-    ``rd.from_items``. The driver fold skips the first and promotes the
+    ``rd.from_items``. The one-bucket fold skips the first and takes the
     second to string, as do the per-block votes over the gate; the graph
     equals the pandas oracle."""
     import ray
