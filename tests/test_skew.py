@@ -728,3 +728,127 @@ def test_finalize_null_pred_votes_and_null_id_surfaces(ray_session,
                                       check_dtype=False)
         outs.append(got)
     pd.testing.assert_frame_equal(outs[0], outs[1])     # dtypes too
+
+
+# ---------------------------------------------------------------------------
+# differential fuzz of the finalize tail's paths
+# ---------------------------------------------------------------------------
+
+_FUZZ_NAMES = ["Ent1", "ENT1", "ent2", "Ent3", "obj", "OBJ", "Ghost"]
+_FUZZ_IDS = ["Q1", "Q2", "Q3", None]
+
+
+def _fuzz_row(h_names, h_ids, preds, t_ids):
+    from hypothesis import strategies as st
+
+    return st.fixed_dictionaries({
+        "h_id": st.sampled_from(h_ids), "h_name": st.sampled_from(h_names),
+        "t_id": st.sampled_from(t_ids), "t_name": st.sampled_from(_FUZZ_NAMES),
+        "pred_rel": st.sampled_from(preds),
+        "score": st.sampled_from([0.25, 0.5, 0.75]),       # score ties
+        "url": st.sampled_from(["u0", "u1", "u2"]),
+        "model_hash": st.sampled_from(["m0", "m1"])})
+
+
+def _fuzz_tail_input():
+    """(candidate frame, its blocks): mixed rows; a hot subj whose two
+    ids both vote and can tie, always with a predicate and a known object; an
+    optional block whose ids are all null and typed ``null``; and empty
+    blocks with the source schema, as blocks emptied upstream arrive."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def build(draw):
+        rows = draw(st.lists(_fuzz_row(_FUZZ_NAMES, _FUZZ_IDS,
+                                       ["r0", "r1", None], _FUZZ_IDS),
+                             max_size=40))
+        hot = draw(st.lists(_fuzz_row(["Hot", "HOT", "hot"],
+                                      ["QH1", "QH2"], ["r0", "r1"],
+                                      ["Q1", "Q2"]),
+                            min_size=2, max_size=30))
+        # both hot ids vote, so the hot surface spans two partial keys
+        hot[0]["h_id"], hot[1]["h_id"] = "QH1", "QH2"
+        rows += hot
+        rows = draw(st.permutations(rows))
+        cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1),
+                                   max_size=6)))
+        tables = [pa.Table.from_pylist(rows[lo:hi], schema=_CAND_SCHEMA)
+                  for lo, hi in zip([0] + cuts, cuts + [len(rows)])]
+        null_rows = draw(st.lists(_fuzz_row(_FUZZ_NAMES, [None],
+                                            ["r0", None], [None]),
+                                  max_size=5))
+        if null_rows:
+            t = pa.Table.from_pylist(null_rows, schema=_CAND_SCHEMA)
+            for col in ("h_id", "t_id"):
+                t = t.set_column(t.schema.get_field_index(col), col,
+                                 pa.nulls(t.num_rows))
+            tables.insert(draw(st.integers(0, len(tables))), t)
+            rows = rows + null_rows
+        for _ in range(draw(st.integers(0, 2))):
+            tables.insert(draw(st.integers(0, len(tables))),
+                          _CAND_SCHEMA.empty_table())
+        return pd.DataFrame(rows, columns=_CAND_SCHEMA.names), tables
+
+    return build()
+
+
+def test_finalize_paths_match_oracle_fuzzed(ray_session):
+    """The tail's three paths — the one-bucket path (default limit), the
+    broadcast rewrite (the limit between the surface count and the vote
+    bound) and the join rewrite (limit 0) — each equal the pandas oracle,
+    dtypes and (subj, pred, obj) order included, over generated tables
+    split into random blocks."""
+    import ray.data as rd
+    from hypothesis import HealthCheck, given, settings
+
+    from opennre_ray.functions import relational
+    from opennre_ray.pipelines.kg import finalize_triples
+    from opennre_ray.stages import canonicalize
+    from opennre_ray.stages.ner import normalize_surface
+
+    orig_agg, orig_join = (relational.hash_bucket_aggregate,
+                           relational.shuffle_join)
+
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fuzz_tail_input())
+    def check(case):
+        df, tables = case
+        ds = rd.from_arrow(tables)
+        want = _finalize_oracle(df)
+        partial_rows = ds.map_batches(_partial_triples,
+                                      batch_format="pyarrow").count()
+        voters = pd.concat([df[["h_name", "h_id"]].set_axis(["s", "i"],
+                                                             axis=1),
+                            df[["t_name", "t_id"]].set_axis(["s", "i"],
+                                                            axis=1)])
+        n_surfaces = voters.dropna()["s"].map(normalize_surface).nunique()
+        assert 0 < n_surfaces < 2 * partial_rows
+        calls = []
+
+        def agg(ds, key_cols, *a, **kw):
+            if key_cols == ["norm_surface"]:
+                calls.append(("argmax", kw.get("n_buckets")))
+            return orig_agg(ds, key_cols, *a, **kw)
+
+        def join(*a, **kw):
+            calls.append(("join", None))
+            return orig_join(*a, **kw)
+
+        paths = {"one_bucket": (canonicalize.CANON_BROADCAST_LIMIT,
+                                [("argmax", 1)]),
+                 "broadcast": (2 * partial_rows - 1, [("argmax", None)]),
+                 "join": (0, [("argmax", None), ("join", None),
+                              ("join", None)])}
+        for path, (limit, expect) in paths.items():
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
+                mp.setattr(relational, "hash_bucket_aggregate", agg)
+                mp.setattr(relational, "shuffle_join", join)
+                got = finalize_triples(ds).to_pandas()
+            assert calls == expect, path
+            pd.testing.assert_frame_equal(
+                got, want[got.columns.tolist()], obj=path)
+
+    check()
