@@ -14,21 +14,26 @@
                                     value; materialized)
       → canonicalize               (the surface → id map folded in one
                                     task straight from the materialized
-                                    partials, then a broadcast rewrite of
-                                    the partials' surfaces to subj/obj)
+                                    partials, then the partials' surfaces
+                                    rewritten to subj/obj, grouped by subj)
       → triple dedup               (exact distinct (subj, pred, obj), the
                                     reference's fact-set semantics,
-                                    data_loader.py:151-164: ONE range
-                                    exchange on subj, the merge per block)
-      → write adjacency parquet partitions (already subj-ordered) +
+                                    data_loader.py:151-164: the merge per
+                                    block of subj-grouped rows)
+      → write adjacency parquet (already (subj, pred, obj)-ordered) +
         manifest
 
 Every stage streams; nothing materializes the full corpus — the tail
 materializes the per-block partials, whose size scales with distinct
-keys per block, not rows. The only exchange is the
-``sort("subj")`` inside ``finalize_triples``: it serves both the dedup
-(all partials of a triple share subj, so they share a range partition)
-and the adjacency order the graph is written in.
+keys per block, not rows. Under the vote bound of
+``canonicalize_ids`` (2 × partial rows ≤ ``CANON_BROADCAST_LIMIT``)
+the tail after the partials is two tasks — the map fold, then one
+rewrite of every partial block into ONE block — and the merge fused
+into the write, with no exchange: the graph is one sorted,
+byte-reproducible file. Above it the only
+exchange is one ``sort("subj")`` inside ``canonicalize_ids``: it serves
+both the dedup (all partials of a triple share subj, so they share a
+range partition) and the adjacency order the graph is written in.
 """
 
 from __future__ import annotations
@@ -159,10 +164,11 @@ def _partial_triples(batch: pa.Table) -> pa.Table:
 
 
 def _merge_triples(block: pa.Table) -> pa.Table:
-    """Per range partition: merge the partials, in (subj, pred, obj)
-    order. The sort's reduce emits one block per range partition and
-    ``map_batches`` without a batch_size sees each block whole, so every
-    partial of a triple is in this block (Ray's own
+    """Per block of ``canonicalize_ids``' rows: merge the partials, in
+    (subj, pred, obj) order. Every row of a subj is in one block (the one
+    block under the vote bound, a range partition of the subj exchange
+    above it), and ``map_batches`` without a batch_size sees each block
+    whole, so every partial of a triple is in this block (Ray's own
     ``GroupedData.map_groups`` relies on the same contract)."""
     return _aggregate_triples(block, _TRIPLE_KEYS, merge=True).sort_by(
         [(k, "ascending") for k in _TRIPLE_KEYS])
@@ -173,14 +179,18 @@ def finalize_triples(inst_ds):
     ordered by subj.
 
     Dedups exactly — the reference's distinct fact set,
-    ``data_loader.py:151-164`` — in two Ray Data executions: the
-    per-block partial keyed by surface (``_partial_triples``,
-    materialized), then ``canonicalize_ids`` (the canonical map folded
-    in one task from those partials; their surfaces rewritten to
-    subj/obj), ONE ``sort("subj")`` exchange and a merge per range
-    partition. Exact because the canonical id of a mention is a
-    function of its normalized surface alone, so the triple key is a
-    function of the partial key, and every aggregate decomposes. Used by
+    ``data_loader.py:151-164``: the per-block partial keyed by surface
+    (``_partial_triples``, materialized), then ``canonicalize_ids`` (the
+    canonical map folded in one task from those partials; their
+    surfaces rewritten to subj/obj, grouped by subj) and a merge per
+    block. Under the vote bound the partials pass two tasks (the fold,
+    then the rewrite into one block) and the merge runs on that block,
+    fused into the consumer's task: no exchange, ONE graph block. Above
+    it the rows pass ONE ``sort("subj")`` exchange and the merge runs per
+    range partition.
+    Exact because the canonical id of a mention is a function of its
+    normalized surface alone, so the triple key is a function of the
+    partial key, and every aggregate decomposes. Used by
     ``extract_triples``, the sharded job's compaction and the queries'
     triples cache, so semantics cannot drift.
 
@@ -188,17 +198,17 @@ def finalize_triples(inst_ds):
     score (max), sample_url (min url), model_hash (min); globally ordered
     by subj, and by (subj, pred, obj) within a block.
 
-    Skew bound: the exchange moves per-block partials, not deduplicated
-    triples, so the largest merge block holds up to (input blocks) ×
-    (distinct partial keys — triples times their surface and id
-    variants — of the hottest subj) rows, plus the other subjs of its
-    range partition.
+    Memory bound: under the vote bound one task holds every partial
+    (at most ``CANON_BROADCAST_LIMIT`` / 2 rows). Skew bound above it:
+    the exchange moves per-block partials, not deduplicated triples, so
+    the largest merge block holds up to (input blocks) × (distinct
+    partial keys — triples times their surface and id variants — of the
+    hottest subj) rows, plus the other subjs of its range partition.
     """
     partials = inst_ds.map_batches(_partial_triples,
                                    batch_format="pyarrow").materialize()
-    rows = canonicalize_ids(partials, _TRIPLE_COLUMNS)
-    return rows.sort("subj").map_batches(_merge_triples,
-                                         batch_format="pyarrow")
+    return canonicalize_ids(partials, _TRIPLE_COLUMNS).map_batches(
+        _merge_triples, batch_format="pyarrow")
 
 
 def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL, repeat=1,

@@ -22,15 +22,19 @@ Phase 2 (per-surface argmax): ``canonical_argmax`` (sum per (surface,
     cluster the partials, not the narrower votes, move to it); above it
     over materialized votes in coarse buckets. The map's row count is
     the exact surface count.
-Phase 3 (size-gated rewrite of the partials): subj = map[h_norm] and
-    obj = map[t_norm], then rows with a null key are dropped (a null
-    predicate, or a surface none of whose ids is known). A map within the
-    limit is ``ray.put`` once and looked up per distinct surface inside
-    ``map_batches`` (zero shuffles — the common case for a
-    gazetteer-sized vocabulary). A larger map — open-web NER where
-    distinct surfaces ≈ corpus cardinality — is never collected: the
-    rewrite is two bucketed hash joins on the surface key. Same
-    size-gate pattern as ``relational.anti_join``.
+Phase 3 (rewrite of the partials): subj = map[h_norm] and obj =
+    map[t_norm], then rows with a null key are dropped (a null
+    predicate, or a surface none of whose ids is known); the rows come
+    back grouped by subj for the triple merge. Under the vote bound the
+    map block and every partial block go to ONE more task, which
+    rewrites them into one block: the tail after the partials is two
+    tasks and no exchange. Above it, a map within the limit is
+    ``ray.put`` once and looked up per distinct surface inside
+    ``map_batches``; a larger map — open-web NER where distinct surfaces
+    ≈ corpus cardinality — is never collected: the rewrite is two
+    bucketed hash joins on the surface key (same size-gate pattern as
+    ``relational.anti_join``). Either way ONE ``sort("subj")`` exchange
+    then groups the rows by subj.
 
 The reference has no linker at all (it trusts ``h.id``/``t.id`` from the
 file, ``data_loader.py:152``); canonicalization is the KG build's analogue
@@ -48,7 +52,8 @@ import pyarrow.compute as pc
 #: strings ≈ low hundreds of MB — the driver/object-store comfort zone
 #: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
 #: vote bound, 2 × the partials' row count, is checked first: within the
-#: limit the map is folded in one bucket straight from the partials.
+#: limit the map is folded in one bucket straight from the partials, and
+#: one more task rewrites them into one block.
 CANON_BROADCAST_LIMIT = 2_000_000
 
 _MAP_SCHEMA = pa.schema([("norm_surface", pa.string()),
@@ -112,40 +117,77 @@ def fold_canonical_map(partials: pd.DataFrame) -> pd.DataFrame:
     return canonical_argmax(votes).to_pandas()
 
 
+def _lookup(canon: pa.Table) -> dict[str, str]:
+    """{norm_surface: canonical_id} of a map block. A zero-row map is an
+    empty lookup: the one-bucket fold over only empty partial blocks
+    emits a keyed empty block with no ``canonical_id`` column."""
+    if not canon.num_rows:
+        return {}
+    return dict(zip(canon["norm_surface"].to_pylist(),
+                    canon["canonical_id"].to_pylist()))
+
+
+def _rewrite(batch: pa.Table, get, columns: list[str]) -> pa.Table:
+    """Phase 3 on one table of partials: subj/obj = ``get`` of each
+    distinct h_norm/t_norm, then ``columns``; rows with a null subj,
+    pred or obj are dropped."""
+    out = (batch.append_column("subj", map_distinct(batch["h_norm"], get))
+           .append_column("obj", map_distinct(batch["t_norm"], get)))
+    return out.select(columns).filter(pc.field("subj").is_valid()
+                                      & pc.field("pred").is_valid()
+                                      & pc.field("obj").is_valid())
+
+
+def _one_block_rewrite(partials_ds, canon_ds, columns: list[str]):
+    """Phase 3 under the vote bound: ONE task takes the map block and
+    every partial block and rewrites them as one table, each distinct
+    surface looked up once, into one block, so a merge needs no
+    exchange. Empty partial blocks are skipped (Ray passes them through
+    with the SOURCE schema); columns a block types ``null`` are promoted
+    when the blocks are concatenated."""
+    import ray
+    import ray.data as rd
+
+    @ray.remote
+    def rewrite_all(canon: pa.Table, *blocks: pa.Table) -> pa.Table:
+        parts = [t for t in blocks if t.num_rows]
+        if not parts:
+            return pa.table({c: pa.array([], pa.string()) for c in columns})
+        return _rewrite(pa.concat_tables(parts, promote_options="default"),
+                        _lookup(canon).get, columns)
+
+    # materialize() first: ~5 ms on a from_arrow_refs Dataset, where
+    # to_arrow_refs alone starts a streaming execution (~16 ms, 1 CPU)
+    [canon_ref] = canon_ds.materialize().to_arrow_refs()
+    return rd.from_arrow_refs(
+        [rewrite_all.remote(canon_ref, *partials_ds.to_arrow_refs())])
+
+
 def _broadcast_rewrite(partials_ds, canon: pa.Table, columns: list[str]):
-    """Phase 3 under the gate: ``ray.put`` the map once; each worker
-    builds its lookup once (cached per worker) and maps each distinct
-    surface of a block once. Rows with a null subj, pred or obj are
-    dropped."""
+    """Phase 3 over the vote bound, with a map within the limit:
+    ``ray.put`` the map once; each worker builds its lookup once (cached
+    per worker) and rewrites each block."""
     import ray
 
     canon_ref = ray.put(canon)
     ref_key = canon_ref.hex()
 
-    def lookup() -> dict[str, str]:
-        t = ray.get(canon_ref)
-        return dict(zip(t["norm_surface"].to_pylist(),
-                        t["canonical_id"].to_pylist()))
-
     def rewrite(batch: pa.Table) -> pa.Table:
         from .score import cached
 
-        get = cached(("canon", ref_key), lookup).get
-        out = (batch.append_column("subj", map_distinct(batch["h_norm"], get))
-               .append_column("obj", map_distinct(batch["t_norm"], get)))
-        return out.select(columns).filter(pc.field("subj").is_valid()
-                                          & pc.field("pred").is_valid()
-                                          & pc.field("obj").is_valid())
+        get = cached(("canon", ref_key),
+                     lambda: _lookup(ray.get(canon_ref))).get
+        return _rewrite(batch, get, columns)
 
     return partials_ds.map_batches(rewrite, batch_format="pyarrow")
 
 
 def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
-    """Phase 3 over the gate: the map stays a Dataset and the rewrite is
-    two bucketed hash joins on the surface key. Rows with a null pred
-    (they have voted) are dropped first; inner joins drop exactly the
-    rows whose surface has no known id, as the broadcast lookup's null
-    does."""
+    """Phase 3 over the vote bound, with a map over the limit: the map
+    stays a Dataset and the rewrite is two bucketed hash joins on the
+    surface key. Rows with a null pred (they have voted) are dropped
+    first; inner joins drop exactly the rows whose surface has no known
+    id, as the broadcast lookup's null does."""
     from ..functions.relational import shuffle_join
 
     rows = partials_ds.count() + canon_ds.count()
@@ -175,15 +217,20 @@ def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
 def canonicalize_ids(partials_ds, columns: list[str]):
     """Size-gated rewrite of the surface-keyed triple partials to
     canonical ids: rows of ``columns``, with subj/obj the canonical ids
-    of h_norm/t_norm and null-key rows dropped.
+    of h_norm/t_norm and null-key rows dropped, grouped by subj so that a
+    merge per block is exact: every row of a subj is in one block, and
+    the blocks are in subj order.
 
-    ``partials_ds`` must be materialized. While the vote bound (2 × its
-    row count) is within ``CANON_BROADCAST_LIMIT`` the argmax runs as
-    one bucket, one task over the partials; above it over materialized
-    votes in coarse hash buckets. The map's row count — the exact
-    surface count — then decides: within the limit the map is broadcast
-    and looked up per block, above it the rewrite is two bucketed hash
-    joins. All paths emit identical rows.
+    ``partials_ds`` must be materialized. The vote bound (2 × its row
+    count, a bound on the surface count) is decided here, once. Within
+    ``CANON_BROADCAST_LIMIT`` the tail is two tasks: the argmax as one
+    ``hash_bucket_aggregate`` bucket over the partials, then one task
+    that rewrites every partial block through that map into ONE block —
+    no exchange. Above it the argmax runs over materialized votes in
+    coarse hash buckets, and the map's row count (the exact surface
+    count) decides: within the limit the map is broadcast and looked up
+    per block, above it the rewrite is two bucketed hash joins; then
+    ONE ``sort("subj")`` exchange. All paths emit identical rows.
     """
     import ray
 
@@ -192,17 +239,20 @@ def canonicalize_ids(partials_ds, columns: list[str]):
     if 2 * partials_ds.count() <= CANON_BROADCAST_LIMIT:
         canon_ds = relational.hash_bucket_aggregate(
             partials_ds, ["norm_surface"], fold_canonical_map, n_buckets=1)
-    else:
-        votes = partials_ds.map_batches(surface_votes,
-                                        batch_format="pyarrow").materialize()
-        canon_ds = relational.hash_bucket_aggregate(
-            votes, ["norm_surface"], _argmax_bucket, rows_hint=votes.count())
-    canon_ds = canon_ds.materialize()
+        return _one_block_rewrite(partials_ds, canon_ds, columns)
+    votes = partials_ds.map_batches(surface_votes,
+                                    batch_format="pyarrow").materialize()
+    canon_ds = relational.hash_bucket_aggregate(
+        votes, ["norm_surface"], _argmax_bucket,
+        rows_hint=votes.count()).materialize()
     if canon_ds.count() > CANON_BROADCAST_LIMIT:
-        return _join_rewrite(partials_ds, canon_ds, columns)
-    # empty blocks are skipped: Ray passes them through with the SOURCE
-    # schema
-    parts = [t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
-             for t in ray.get(canon_ds.to_arrow_refs()) if t.num_rows]
-    canon = pa.concat_tables(parts) if parts else _MAP_SCHEMA.empty_table()
-    return _broadcast_rewrite(partials_ds, canon, columns)
+        rows = _join_rewrite(partials_ds, canon_ds, columns)
+    else:
+        # empty blocks are skipped: Ray passes them through with the
+        # SOURCE schema
+        parts = [t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
+                 for t in ray.get(canon_ds.to_arrow_refs()) if t.num_rows]
+        canon = (pa.concat_tables(parts) if parts
+                 else _MAP_SCHEMA.empty_table())
+        rows = _broadcast_rewrite(partials_ds, canon, columns)
+    return rows.sort("subj")

@@ -5,6 +5,8 @@ normalized surface-form keys with explicit hash partitioning and salted keys
 for head-entity skew".
 """
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -480,7 +482,8 @@ def test_hash_bucket_aggregate_partial_combiner_bounds_hot_key(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# finalize tail: one-bucket canonical map + one range exchange on subj
+# finalize tail: one graph block under the vote bound, one range exchange
+# on subj above it
 # ---------------------------------------------------------------------------
 
 _CAND_SCHEMA = pa.schema([("h_id", pa.string()), ("h_name", pa.string()),
@@ -554,27 +557,37 @@ def _read_graph(ds, out):
             else pd.DataFrame(columns=["subj"]))
 
 
-def test_finalize_hot_subj_exact_and_subj_sorted(ray_session, tmp_path):
-    """A hot subj spread over 16 input blocks: the per-block partials,
-    the range exchange and the per-partition merge equal the pandas
-    oracle on every aggregate, and the written rows are globally sorted
-    by subj."""
+def test_finalize_hot_subj_exact_and_subj_sorted(ray_session, tmp_path,
+                                                 monkeypatch):
+    """A hot subj spread over 16 input blocks: the per-block partials and
+    the merge equal the pandas oracle on every aggregate, and the written
+    rows are globally sorted by subj. Under the vote bound the graph is
+    one file; with the limit lowered below the vote bound (a broadcast
+    map, then a join) the range exchange spreads it over several files
+    and the merge runs per range partition."""
     import ray.data as rd
 
     from opennre_ray.pipelines.kg import finalize_triples
+    from opennre_ray.stages import canonicalize
 
     df = _hot_subj_candidates()
     ds = rd.from_arrow(pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
                                             preserve_index=False)
                        ).repartition(16)
     assert ds.materialize().num_blocks() >= 8
-    got = _read_graph(finalize_triples(ds), str(tmp_path / "g"))
-    assert got["subj"].tolist() == sorted(got["subj"])
     want = _finalize_oracle(df)
-    got = got.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
     assert (want["n_evidence"] > 1).any() and want["subj"].nunique() > 1
-    pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
-                                  check_dtype=False)
+    # ~120 surfaces, thousands of partial rows
+    for limit in (canonicalize.CANON_BROADCAST_LIMIT, 1000, 0):
+        monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
+        out = str(tmp_path / f"g{limit}")
+        got = _read_graph(finalize_triples(ds), out)
+        n_files = len([f for f in os.listdir(out) if f.endswith(".parquet")])
+        assert (n_files == 1) == (limit > 1000), (limit, n_files)
+        assert got["subj"].tolist() == sorted(got["subj"])
+        got = got.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
+                                      check_dtype=False)
 
 
 def test_finalize_drops_null_keys(ray_session):
@@ -612,6 +625,66 @@ def test_finalize_zero_rows_writes_empty_graph(ray_session, tmp_path,
     ds = rd.from_arrow([empty] * n_blocks)
     got = _read_graph(finalize_triples(ds), str(tmp_path / "g"))
     assert len(got) == 0
+
+
+@pytest.mark.parametrize("case", ["null_ids", "empty_blocks"])
+def test_one_block_tail_with_an_empty_map(ray_session, tmp_path, case):
+    """Under the vote bound the rewrite task reads a zero-row map as an
+    empty lookup: with every id null the map is empty while the partials
+    are not, and with every block empty the one-bucket map block is
+    ``hash_bucket_aggregate``'s keyed empty block, which has no
+    ``canonical_id`` column. Either way the graph is empty: no data file
+    and an empty manifest."""
+    import ray
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples
+
+    df = _hot_subj_candidates(200, seed=13)
+    if case == "null_ids":
+        df[["h_id", "t_id"]] = None
+    else:
+        df = df.iloc[:0]
+    table = pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
+                                 preserve_index=False)
+    ds = rd.from_arrow([table.slice(0, 100), table.slice(100)])
+    partials = ds.map_batches(_partial_triples,
+                              batch_format="pyarrow").materialize()
+    [canon] = ray.get(hash_bucket_aggregate(
+        partials, ["norm_surface"], fold_canonical_map,
+        n_buckets=1).to_arrow_refs())
+    assert canon.num_rows == 0
+    if case == "null_ids":
+        assert partials.count() > 0
+    else:
+        assert canon.schema.names == ["norm_surface"]
+    got = _read_graph(finalize_triples(ds), str(tmp_path / "g"))
+    assert len(got) == 0
+
+
+def test_one_block_graph_is_byte_reproducible(ray_session, tmp_path):
+    """Under the vote bound the graph is ONE block in (subj, pred, obj)
+    order, so two runs over the same input write the same number of files
+    with identical bytes (the file names carry Ray's per-write id)."""
+    import hashlib
+
+    import ray.data as rd
+
+    from opennre_ray.pipelines.kg import finalize_triples, materialize_graph
+
+    df = _hot_subj_candidates(2000, seed=17)
+    ds = rd.from_arrow(pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
+                                            preserve_index=False)
+                       ).repartition(8).materialize()
+    digests = []
+    for run in range(2):
+        out = str(tmp_path / f"g{run}")
+        manifest = materialize_graph(finalize_triples(ds), out)
+        digests.append([hashlib.sha256(open(os.path.join(out, f), "rb")
+                                       .read()).hexdigest()
+                        for f in manifest["files"]])
+    assert len(digests[0]) == 1
+    assert digests[0] == digests[1]
 
 
 def test_driver_folded_map_equals_bucketed_map(ray_session):
@@ -720,7 +793,7 @@ def test_finalize_null_pred_votes_and_null_id_surfaces(ray_session,
         ["r0", "Q100", 3]]
     assert want["n_evidence"].sum() == df["pred_rel"].notna().sum() - 4
     outs = []
-    for limit in (canonicalize.CANON_BROADCAST_LIMIT, 0):   # broadcast, join
+    for limit in (canonicalize.CANON_BROADCAST_LIMIT, 0):   # one block, join
         monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
         got = (finalize_triples(ds).to_pandas()
                .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
