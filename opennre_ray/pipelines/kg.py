@@ -18,22 +18,21 @@
                                     rewritten to subj/obj, grouped by subj)
       → triple dedup               (exact distinct (subj, pred, obj), the
                                     reference's fact-set semantics,
-                                    data_loader.py:151-164: the merge per
-                                    block of subj-grouped rows)
+                                    data_loader.py:151-164: the merge,
+                                    run by canonicalize_ids per block of
+                                    subj-grouped rows)
       → write adjacency parquet (already (subj, pred, obj)-ordered) +
         manifest
 
 Every stage streams; nothing materializes the full corpus — the tail
 materializes the per-block partials, whose size scales with distinct
-keys per block, not rows. Under the vote bound of
-``canonicalize_ids`` (2 × partial rows ≤ ``CANON_BROADCAST_LIMIT``)
-the tail after the partials is two tasks — the map fold, then one
-rewrite of every partial block into ONE block — and the merge fused
-into the write, with no exchange: the graph is one sorted,
-byte-reproducible file. Above it the only
-exchange is one ``sort("subj")`` inside ``canonicalize_ids``: it serves
-both the dedup (all partials of a triple share subj, so they share a
-range partition) and the adjacency order the graph is written in.
+keys per block, not rows. Under the vote bound (2 × partial rows ≤
+``CANON_BROADCAST_LIMIT``) two tasks follow the partials — the map
+fold, then the rewrite and merge as ONE block — and no exchange: the
+graph is one sorted, byte-reproducible file. Above it the only exchange
+is ``canonicalize_ids``' ``sort("subj")``: it serves both the dedup
+(all partials of a triple share subj, so they share a range partition)
+and the adjacency order the graph is written in.
 """
 
 from __future__ import annotations
@@ -164,12 +163,11 @@ def _partial_triples(batch: pa.Table) -> pa.Table:
 
 
 def _merge_triples(block: pa.Table) -> pa.Table:
-    """Per block of ``canonicalize_ids``' rows: merge the partials, in
-    (subj, pred, obj) order. Every row of a subj is in one block (the one
-    block under the vote bound, a range partition of the subj exchange
-    above it), and ``map_batches`` without a batch_size sees each block
-    whole, so every partial of a triple is in this block (Ray's own
-    ``GroupedData.map_groups`` relies on the same contract)."""
+    """``canonicalize_ids``' merge: one block of subj-grouped partials →
+    triples, in (subj, pred, obj) order. Every row of a subj is in one
+    block (the one block under the vote bound; above it a range
+    partition, which ``map_batches`` without a batch_size sees whole, as
+    Ray's own ``GroupedData.map_groups`` relies on)."""
     return _aggregate_triples(block, _TRIPLE_KEYS, merge=True).sort_by(
         [(k, "ascending") for k in _TRIPLE_KEYS])
 
@@ -180,15 +178,12 @@ def finalize_triples(inst_ds):
 
     Dedups exactly — the reference's distinct fact set,
     ``data_loader.py:151-164``: the per-block partial keyed by surface
-    (``_partial_triples``, materialized), then ``canonicalize_ids`` (the
-    canonical map folded in one task from those partials; their
-    surfaces rewritten to subj/obj, grouped by subj) and a merge per
-    block. Under the vote bound the partials pass two tasks (the fold,
-    then the rewrite into one block) and the merge runs on that block,
-    fused into the consumer's task: no exchange, ONE graph block. Above
-    it the rows pass ONE ``sort("subj")`` exchange and the merge runs per
-    range partition.
-    Exact because the canonical id of a mention is a function of its
+    (``_partial_triples``, materialized), then ``canonicalize_ids``: the
+    canonical map folded in one task from those partials, their
+    surfaces rewritten to subj/obj and ``_merge_triples`` per subj group
+    — under the vote bound in one more task, as ONE block; above it
+    after ONE ``sort("subj")`` exchange, per range partition. Exact
+    because the canonical id of a mention is a function of its
     normalized surface alone, so the triple key is a function of the
     partial key, and every aggregate decomposes. Used by
     ``extract_triples``, the sharded job's compaction and the queries'
@@ -207,8 +202,7 @@ def finalize_triples(inst_ds):
     """
     partials = inst_ds.map_batches(_partial_triples,
                                    batch_format="pyarrow").materialize()
-    return canonicalize_ids(partials, _TRIPLE_COLUMNS).map_batches(
-        _merge_triples, batch_format="pyarrow")
+    return canonicalize_ids(partials, _TRIPLE_COLUMNS, _merge_triples)
 
 
 def extract_triples(sf_dir: str, *, model_name=DEFAULT_MODEL, repeat=1,

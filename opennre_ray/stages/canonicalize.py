@@ -22,19 +22,17 @@ Phase 2 (per-surface argmax): ``canonical_argmax`` (sum per (surface,
     cluster the partials, not the narrower votes, move to it); above it
     over materialized votes in coarse buckets. The map's row count is
     the exact surface count.
-Phase 3 (rewrite of the partials): subj = map[h_norm] and obj =
-    map[t_norm], then rows with a null key are dropped (a null
-    predicate, or a surface none of whose ids is known); the rows come
-    back grouped by subj for the triple merge. Under the vote bound the
-    map block and every partial block go to ONE more task, which
-    rewrites them into one block: the tail after the partials is two
-    tasks and no exchange. Above it, a map within the limit is
-    ``ray.put`` once and looked up per distinct surface inside
-    ``map_batches``; a larger map — open-web NER where distinct surfaces
-    ≈ corpus cardinality — is never collected: the rewrite is two
-    bucketed hash joins on the surface key (same size-gate pattern as
-    ``relational.anti_join``). Either way ONE ``sort("subj")`` exchange
-    then groups the rows by subj.
+Phase 3 (rewrite, then the caller's merge per subj group): subj =
+    map[h_norm] and obj = map[t_norm]; rows with a null key (a null
+    predicate, or a surface none of whose ids is known) are dropped.
+    Under the vote bound ONE more task rewrites and merges every partial
+    block as one block: two tasks after the partials, no exchange. Above
+    it a map within the limit is ``ray.put`` once and looked up per
+    distinct surface in ``map_batches``; a larger map — open-web NER
+    where distinct surfaces ≈ corpus cardinality — is never collected:
+    two bucketed hash joins on the surface key (the size-gate pattern of
+    ``relational.anti_join``). Then ONE ``sort("subj")`` exchange, and
+    the merge runs per range partition.
 
 The reference has no linker at all (it trusts ``h.id``/``t.id`` from the
 file, ``data_loader.py:152``); canonicalization is the KG build's analogue
@@ -53,7 +51,7 @@ import pyarrow.compute as pc
 #: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
 #: vote bound, 2 × the partials' row count, is checked first: within the
 #: limit the map is folded in one bucket straight from the partials, and
-#: one more task rewrites them into one block.
+#: one more task rewrites and merges them as one block.
 CANON_BROADCAST_LIMIT = 2_000_000
 
 _MAP_SCHEMA = pa.schema([("norm_surface", pa.string()),
@@ -138,29 +136,28 @@ def _rewrite(batch: pa.Table, get, columns: list[str]) -> pa.Table:
                                       & pc.field("obj").is_valid())
 
 
-def _one_block_rewrite(partials_ds, canon_ds, columns: list[str]):
-    """Phase 3 under the vote bound: ONE task takes the map block and
-    every partial block and rewrites them as one table, each distinct
-    surface looked up once, into one block, so a merge needs no
-    exchange. Empty partial blocks are skipped (Ray passes them through
-    with the SOURCE schema); columns a block types ``null`` are promoted
-    when the blocks are concatenated."""
+def _one_block_merge(partials_ds, canon_ds, columns: list[str], merge):
+    """Phase 3 under the vote bound: ONE task rewrites the partial blocks
+    as one table (each distinct surface looked up once) and returns its
+    ``merge`` as one block. Empty blocks are skipped (Ray passes them on
+    with the SOURCE schema); ``null``-typed columns are promoted."""
     import ray
     import ray.data as rd
 
     @ray.remote
-    def rewrite_all(canon: pa.Table, *blocks: pa.Table) -> pa.Table:
+    def rewrite_and_merge(canon: pa.Table, *blocks: pa.Table) -> pa.Table:
         parts = [t for t in blocks if t.num_rows]
         if not parts:
             return pa.table({c: pa.array([], pa.string()) for c in columns})
-        return _rewrite(pa.concat_tables(parts, promote_options="default"),
-                        _lookup(canon).get, columns)
+        return merge(_rewrite(pa.concat_tables(parts,
+                                               promote_options="default"),
+                              _lookup(canon).get, columns))
 
     # materialize() first: ~5 ms on a from_arrow_refs Dataset, where
     # to_arrow_refs alone starts a streaming execution (~16 ms, 1 CPU)
     [canon_ref] = canon_ds.materialize().to_arrow_refs()
     return rd.from_arrow_refs(
-        [rewrite_all.remote(canon_ref, *partials_ds.to_arrow_refs())])
+        [rewrite_and_merge.remote(canon_ref, *partials_ds.to_arrow_refs())])
 
 
 def _broadcast_rewrite(partials_ds, canon: pa.Table, columns: list[str]):
@@ -214,23 +211,22 @@ def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
     return joined_t.map_batches(set_obj, batch_format="pandas")
 
 
-def canonicalize_ids(partials_ds, columns: list[str]):
+def canonicalize_ids(partials_ds, columns: list[str], merge):
     """Size-gated rewrite of the surface-keyed triple partials to
-    canonical ids: rows of ``columns``, with subj/obj the canonical ids
-    of h_norm/t_norm and null-key rows dropped, grouped by subj so that a
-    merge per block is exact: every row of a subj is in one block, and
-    the blocks are in subj order.
+    canonical ids, then ``merge`` (pyarrow table → table) once per block
+    of the rewritten rows (``columns``, subj/obj the canonical ids of
+    h_norm/t_norm, null-key rows dropped); each block holds every row of
+    its subjs, so a fold keyed on subj is exact.
 
     ``partials_ds`` must be materialized. The vote bound (2 × its row
-    count, a bound on the surface count) is decided here, once. Within
-    ``CANON_BROADCAST_LIMIT`` the tail is two tasks: the argmax as one
-    ``hash_bucket_aggregate`` bucket over the partials, then one task
-    that rewrites every partial block through that map into ONE block —
-    no exchange. Above it the argmax runs over materialized votes in
-    coarse hash buckets, and the map's row count (the exact surface
-    count) decides: within the limit the map is broadcast and looked up
-    per block, above it the rewrite is two bucketed hash joins; then
-    ONE ``sort("subj")`` exchange. All paths emit identical rows.
+    count) is decided here, once. Within ``CANON_BROADCAST_LIMIT``: the
+    argmax as one ``hash_bucket_aggregate`` bucket over the partials,
+    then one task that rewrites and merges every partial block as ONE
+    block — no exchange. Above it the argmax runs over materialized
+    votes in coarse hash buckets, and the exact surface count decides
+    the rewrite: a broadcast map within the limit, two bucketed hash
+    joins above it; then ONE ``sort("subj")`` exchange, and ``merge``
+    per range partition. All paths emit identical rows.
     """
     import ray
 
@@ -239,7 +235,7 @@ def canonicalize_ids(partials_ds, columns: list[str]):
     if 2 * partials_ds.count() <= CANON_BROADCAST_LIMIT:
         canon_ds = relational.hash_bucket_aggregate(
             partials_ds, ["norm_surface"], fold_canonical_map, n_buckets=1)
-        return _one_block_rewrite(partials_ds, canon_ds, columns)
+        return _one_block_merge(partials_ds, canon_ds, columns, merge)
     votes = partials_ds.map_batches(surface_votes,
                                     batch_format="pyarrow").materialize()
     canon_ds = relational.hash_bucket_aggregate(
@@ -255,4 +251,4 @@ def canonicalize_ids(partials_ds, columns: list[str]):
         canon = (pa.concat_tables(parts) if parts
                  else _MAP_SCHEMA.empty_table())
         rows = _broadcast_rewrite(partials_ds, canon, columns)
-    return rows.sort("subj")
+    return rows.sort("subj").map_batches(merge, batch_format="pyarrow")

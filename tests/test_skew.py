@@ -285,7 +285,7 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     import ray.data as rd
 
     from opennre_ray.functions import relational
-    from opennre_ray.pipelines.kg import _TRIPLE_COLUMNS
+    from opennre_ray.pipelines.kg import _TRIPLE_COLUMNS, _merge_triples
     from opennre_ray.stages import canonicalize
 
     rng = np.random.default_rng(5)
@@ -328,8 +328,8 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     for limit in (canonicalize.CANON_BROADCAST_LIMIT, n_surfaces,
                   n_surfaces - 1):
         monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
-        df = canonicalize.canonicalize_ids(partials, _TRIPLE_COLUMNS
-                                           ).to_pandas()[_TRIPLE_COLUMNS]
+        df = canonicalize.canonicalize_ids(partials, _TRIPLE_COLUMNS,
+                                           _merge_triples).to_pandas()
         outs.append(df.sort_values(_TRIPLE_COLUMNS).reset_index(drop=True))
         calls.append((list(aggs), len(joins)))
         aggs.clear()
@@ -664,8 +664,9 @@ def test_one_block_tail_with_an_empty_map(ray_session, tmp_path, case):
 
 def test_one_block_graph_is_byte_reproducible(ray_session, tmp_path):
     """Under the vote bound the graph is ONE block in (subj, pred, obj)
-    order, so two runs over the same input write the same number of files
-    with identical bytes (the file names carry Ray's per-write id)."""
+    order, so two runs over the same input write the same file list and
+    identical bytes. Ray's file names lead with per-write ids; the list
+    is compared on the (task, block) index that follows them."""
     import hashlib
 
     import ray.data as rd
@@ -676,15 +677,16 @@ def test_one_block_graph_is_byte_reproducible(ray_session, tmp_path):
     ds = rd.from_arrow(pa.Table.from_pandas(df, schema=_CAND_SCHEMA,
                                             preserve_index=False)
                        ).repartition(8).materialize()
-    digests = []
+    runs = []
     for run in range(2):
         out = str(tmp_path / f"g{run}")
         manifest = materialize_graph(finalize_triples(ds), out)
-        digests.append([hashlib.sha256(open(os.path.join(out, f), "rb")
-                                       .read()).hexdigest()
-                        for f in manifest["files"]])
-    assert len(digests[0]) == 1
-    assert digests[0] == digests[1]
+        runs.append([("_".join(f.rsplit("_", 2)[1:]),
+                      hashlib.sha256(open(os.path.join(out, f), "rb")
+                                     .read()).hexdigest())
+                     for f in manifest["files"]])
+    assert len(runs[0]) == 1
+    assert runs[0] == runs[1]
 
 
 def test_driver_folded_map_equals_bucketed_map(ray_session):

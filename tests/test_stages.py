@@ -187,7 +187,11 @@ def test_score_matrix_udf_is_the_block_path():
 def test_canonicalize_map(ray_session):
     import ray.data as rd
 
-    from opennre_ray.pipelines.kg import _TRIPLE_COLUMNS, _partial_triples
+    from opennre_ray.pipelines.kg import (
+        _TRIPLE_COLUMNS,
+        _merge_triples,
+        _partial_triples,
+    )
     from opennre_ray.stages.canonicalize import canonicalize_ids
 
     rows = [("Spark", "A", "table", "T"), ("spark", "B", "table", "T"),
@@ -198,7 +202,8 @@ def test_canonicalize_map(ray_session):
         for h, hi, t, ti in rows])
     partials = inst.map_batches(_partial_triples,
                                 batch_format="pyarrow").materialize()
-    out = canonicalize_ids(partials, _TRIPLE_COLUMNS).to_pandas()
+    out = canonicalize_ids(partials, _TRIPLE_COLUMNS,
+                           _merge_triples).to_pandas()
     # 'spark' surface: B appears 3×, A 1× → canonical B (the A row is
     # rewritten); 'table': T 3×, X 1× → T
     assert set(out["subj"]) == {"B"}
