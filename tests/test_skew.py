@@ -629,8 +629,8 @@ def test_finalize_zero_rows_writes_empty_graph(ray_session, tmp_path,
 
 @pytest.mark.parametrize("case", ["null_ids", "empty_blocks"])
 def test_one_block_tail_with_an_empty_map(ray_session, tmp_path, case):
-    """Under the vote bound the rewrite task reads a zero-row map as an
-    empty lookup: with every id null the map is empty while the partials
+    """Under the vote bound the rewrite-and-merge task reads a zero-row
+    map as an empty lookup: with every id null the map is empty while the partials
     are not, and with every block empty the one-bucket map block is
     ``hash_bucket_aggregate``'s keyed empty block, which has no
     ``canonical_id`` column. Either way the graph is empty: no data file
