@@ -12,6 +12,8 @@ windowing. Patterns per the Ray Data playbook:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -101,6 +103,30 @@ def canonical_bucket(df: "pd.DataFrame", key_cols, n_buckets: int):
     return (h % n_buckets).astype("int64")
 
 
+@functools.cache
+def remote_task(fn):
+    """``ray.remote(fn)``, built once per process. A task defined inside
+    the call that launches it is a new function every call: Ray exports
+    it to the cluster, and the worker imports it, before each run."""
+    import ray
+
+    return ray.remote(fn)
+
+
+def _keyed_empty(key_cols) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series([], dtype="object") for c in key_cols})
+
+
+def _one_bucket(per_bucket, key_cols, *blocks: pa.Table) -> pa.Table:
+    """``hash_bucket_aggregate``'s task for ``n_buckets=1``. Empty blocks
+    are skipped: Ray passes them through upstream UDFs with the SOURCE
+    schema, which would add its columns here."""
+    frames = [t.to_pandas() for t in blocks if t.num_rows]
+    out = (per_bucket(pd.concat(frames, ignore_index=True)) if frames
+           else _keyed_empty(key_cols))
+    return pa.Table.from_pandas(out, preserve_index=False)
+
+
 def hash_bucket_aggregate(ds, key_cols, per_bucket, n_buckets: int | None = None,
                           rows_hint: int | None = None, partial=None):
     """High-cardinality grouped aggregation via coarse hash buckets.
@@ -144,31 +170,18 @@ def hash_bucket_aggregate(ds, key_cols, per_bucket, n_buckets: int | None = None
             return partial(df) if len(df) else df
         ds = ds.map_batches(partial_block, batch_format="pandas")
 
-    def keyed_empty() -> pd.DataFrame:
-        return pd.DataFrame({c: pd.Series([], dtype="object")
-                             for c in key_cols})
-
     if n_buckets == 1:
-        import ray
         import ray.data as rd
 
-        @ray.remote
-        def one_bucket(*blocks: pa.Table) -> pa.Table:
-            # empty blocks are skipped: Ray passes them through upstream
-            # UDFs with the SOURCE schema, which would add its columns here
-            frames = [t.to_pandas() for t in blocks if t.num_rows]
-            out = (per_bucket(pd.concat(frames, ignore_index=True)) if frames
-                   else keyed_empty())
-            return pa.Table.from_pandas(out, preserve_index=False)
-
-        return rd.from_arrow_refs([one_bucket.remote(*ds.to_arrow_refs())])
+        return rd.from_arrow_refs([remote_task(_one_bucket).remote(
+            per_bucket, list(key_cols), *ds.to_arrow_refs())])
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             # Ray passes empty blocks through upstream UDFs unchanged, so
             # an all-empty input arrives here with the SOURCE schema (or
             # none) — emit a keyed empty frame instead of KeyError-ing
-            out = keyed_empty()
+            out = _keyed_empty(key_cols)
             out["_bucket"] = pd.Series([], dtype="int64")
             return out
         return df.assign(_bucket=canonical_bucket(df, key_cols, n_buckets))

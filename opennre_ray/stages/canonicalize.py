@@ -136,28 +136,31 @@ def _rewrite(batch: pa.Table, get, columns: list[str]) -> pa.Table:
                                       & pc.field("obj").is_valid())
 
 
+def _rewrite_and_merge(canon: pa.Table, columns: list[str], merge,
+                       *blocks: pa.Table) -> pa.Table:
+    """Phase 3 under the vote bound, run as ONE task: the partial blocks
+    rewritten as one table (each distinct surface looked up once), then
+    ``merge``. Empty blocks are skipped (Ray passes them on with the
+    SOURCE schema); ``null``-typed columns are promoted."""
+    parts = [t for t in blocks if t.num_rows]
+    if not parts:
+        return pa.table({c: pa.array([], pa.string()) for c in columns})
+    return merge(_rewrite(pa.concat_tables(parts, promote_options="default"),
+                          _lookup(canon).get, columns))
+
+
 def _one_block_merge(partials_ds, canon_ds, columns: list[str], merge):
-    """Phase 3 under the vote bound: ONE task rewrites the partial blocks
-    as one table (each distinct surface looked up once) and returns its
-    ``merge`` as one block. Empty blocks are skipped (Ray passes them on
-    with the SOURCE schema); ``null``-typed columns are promoted."""
-    import ray
+    """Launch ``_rewrite_and_merge`` over the map block and every partial
+    block; its one block is the result."""
     import ray.data as rd
 
-    @ray.remote
-    def rewrite_and_merge(canon: pa.Table, *blocks: pa.Table) -> pa.Table:
-        parts = [t for t in blocks if t.num_rows]
-        if not parts:
-            return pa.table({c: pa.array([], pa.string()) for c in columns})
-        return merge(_rewrite(pa.concat_tables(parts,
-                                               promote_options="default"),
-                              _lookup(canon).get, columns))
+    from ..functions.relational import remote_task
 
     # materialize() first: ~5 ms on a from_arrow_refs Dataset, where
     # to_arrow_refs alone starts a streaming execution (~16 ms, 1 CPU)
     [canon_ref] = canon_ds.materialize().to_arrow_refs()
-    return rd.from_arrow_refs(
-        [rewrite_and_merge.remote(canon_ref, *partials_ds.to_arrow_refs())])
+    return rd.from_arrow_refs([remote_task(_rewrite_and_merge).remote(
+        canon_ref, list(columns), merge, *partials_ds.to_arrow_refs())])
 
 
 def _broadcast_rewrite(partials_ds, canon: pa.Table, columns: list[str]):
