@@ -36,7 +36,9 @@ def main(argv=None):
 
     import ray
 
-    if not ray.is_initialized():
+    # a caller that already owns a session (main(argv) in-process) keeps it
+    owns_session = not ray.is_initialized()
+    if owns_session:
         ray.init(address="local", num_cpus=args.num_cpus,
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
@@ -67,7 +69,8 @@ def main(argv=None):
     print(json.dumps({"completed": len(result["completed"]),
                       "skipped": len(result["skipped"]),
                       "out": args.out}))
-    ray.shutdown()
+    if owns_session:
+        ray.shutdown()
 
 
 if __name__ == "__main__":

@@ -159,8 +159,8 @@ def _stream_publish(files: dict, root: str, want: dict, read_columns,
     def publish_if_whole(n):
         if n not in done and n not in errors \
                 and counts[n][first] == expect[n]:
-            lineage.write_shard(parts[n], root, n, lineage.ShardManifest(
-                n, want[n], counters=counts[n]))
+            lineage.write_shard(parts[n], root, n,
+                                {**want[n], "counters": counts[n]})
             done.add(n)
 
     for rec in records.iter_rows():

@@ -29,10 +29,11 @@ materializes the per-block partials, whose size scales with distinct
 keys per block, not rows. Under the vote bound (2 × partial rows ≤
 ``CANON_BROADCAST_LIMIT``) two tasks follow the partials — the map
 fold, then the rewrite and merge as ONE block — and no exchange: the
-graph is one sorted, byte-reproducible file. Above it the only exchange
-is ``canonicalize_ids``' ``sort("subj")``: it serves both the dedup
-(all partials of a triple share subj, so they share a range partition)
-and the adjacency order the graph is written in.
+graph is one sorted, byte-reproducible file. Above it the map is
+bucketed over the votes (a hash shuffle), the rewrite is two bucketed
+hash joins on the surface key, and one ``sort("subj")`` serves both the
+dedup (all partials of a triple share subj, so they share a range
+partition) and the adjacency order the graph is written in.
 """
 
 from __future__ import annotations
@@ -178,13 +179,14 @@ def finalize_triples(inst_ds):
 
     Dedups exactly — the reference's distinct fact set,
     ``data_loader.py:151-164``: the per-block partial keyed by surface
-    (``_partial_triples``, materialized), then ``canonicalize_ids``: the
-    canonical map folded in one task from those partials, their
-    surfaces rewritten to subj/obj and ``_merge_triples`` per subj group
-    — under the vote bound in one more task, as ONE block; above it
-    after ONE ``sort("subj")`` exchange, per range partition. Exact
-    because the canonical id of a mention is a function of its
-    normalized surface alone, so the triple key is a function of the
+    (``_partial_triples``, materialized), then ``canonicalize_ids``, one
+    of two paths by the vote bound. Under it the canonical map is folded
+    in one task from those partials, and one more task rewrites their
+    surfaces to subj/obj and runs ``_merge_triples`` as ONE block. Above
+    it the map is bucketed, the rewrite is two hash joins, and
+    ``_merge_triples`` runs per range partition of ONE ``sort("subj")``
+    exchange. Exact because the canonical id of a mention is a function
+    of its normalized surface alone, so the triple key is a function of the
     partial key, and every aggregate decomposes. Used by
     ``extract_triples``, the sharded job's compaction and the queries'
     triples cache, so semantics cannot drift.

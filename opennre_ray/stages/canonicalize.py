@@ -20,18 +20,15 @@ Phase 2 (per-surface argmax): ``canonical_argmax`` (sum per (surface,
     within ``CANON_BROADCAST_LIMIT``, phases 1–2 run as ONE bucket over
     the partials (``fold_canonical_map``, one task; on a multi-node
     cluster the partials, not the narrower votes, move to it); above it
-    over materialized votes in coarse buckets. The map's row count is
-    the exact surface count.
+    over the votes in coarse buckets. The map's row count is the exact
+    surface count.
 Phase 3 (rewrite, then the caller's merge per subj group): subj =
     map[h_norm] and obj = map[t_norm]; rows with a null key (a null
     predicate, or a surface none of whose ids is known) are dropped.
     Under the vote bound ONE more task rewrites and merges every partial
     block as one block: two tasks after the partials, no exchange. Above
-    it a map within the limit is ``ray.put`` once and looked up per
-    distinct surface in ``map_batches``; a larger map — open-web NER
-    where distinct surfaces ≈ corpus cardinality — is never collected:
-    two bucketed hash joins on the surface key (the size-gate pattern of
-    ``relational.anti_join``). Then ONE ``sort("subj")`` exchange, and
+    it the map is never collected: the rewrite is two bucketed hash
+    joins on the surface key, then ONE ``sort("subj")`` exchange, and
     the merge runs per range partition.
 
 The reference has no linker at all (it trusts ``h.id``/``t.id`` from the
@@ -45,17 +42,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-#: distinct-surface count above which the canonical map stops being
-#: broadcast and the rewrite switches to bucketed hash joins. ~2M short
-#: strings ≈ low hundreds of MB — the driver/object-store comfort zone
-#: (same budget reasoning as relational.ANTI_JOIN_BROADCAST_LIMIT). The
-#: vote bound, 2 × the partials' row count, is checked first: within the
-#: limit the map is folded in one bucket straight from the partials, and
-#: one more task rewrites and merges them as one block.
+#: the vote bound: while 2 × the partials' row count (an upper bound on
+#: the distinct surfaces) is within it, the map is folded in one task
+#: straight from the partials and one more task rewrites and merges them
+#: as one block, so a task holds at most half this many partial rows;
+#: above it the argmax is bucketed and the rewrite is two hash joins.
 CANON_BROADCAST_LIMIT = 2_000_000
-
-_MAP_SCHEMA = pa.schema([("norm_surface", pa.string()),
-                         ("canonical_id", pa.string())])
 
 
 def map_distinct(values, fn) -> pa.Array:
@@ -115,38 +107,27 @@ def fold_canonical_map(partials: pd.DataFrame) -> pd.DataFrame:
     return canonical_argmax(votes).to_pandas()
 
 
-def _lookup(canon: pa.Table) -> dict[str, str]:
-    """{norm_surface: canonical_id} of a map block. A zero-row map is an
-    empty lookup: the one-bucket fold over only empty partial blocks
-    emits a keyed empty block with no ``canonical_id`` column."""
-    if not canon.num_rows:
-        return {}
-    return dict(zip(canon["norm_surface"].to_pylist(),
-                    canon["canonical_id"].to_pylist()))
-
-
-def _rewrite(batch: pa.Table, get, columns: list[str]) -> pa.Table:
-    """Phase 3 on one table of partials: subj/obj = ``get`` of each
-    distinct h_norm/t_norm, then ``columns``; rows with a null subj,
-    pred or obj are dropped."""
-    out = (batch.append_column("subj", map_distinct(batch["h_norm"], get))
-           .append_column("obj", map_distinct(batch["t_norm"], get)))
-    return out.select(columns).filter(pc.field("subj").is_valid()
-                                      & pc.field("pred").is_valid()
-                                      & pc.field("obj").is_valid())
-
-
 def _rewrite_and_merge(canon: pa.Table, columns: list[str], merge,
                        *blocks: pa.Table) -> pa.Table:
     """Phase 3 under the vote bound, run as ONE task: the partial blocks
-    rewritten as one table (each distinct surface looked up once), then
+    as one table, subj/obj looked up once per distinct h_norm/t_norm,
+    then ``columns``, rows with a null subj, pred or obj dropped, then
     ``merge``. Empty blocks are skipped (Ray passes them on with the
-    SOURCE schema); ``null``-typed columns are promoted."""
+    SOURCE schema); ``null``-typed columns are promoted. A zero-row map
+    is an empty lookup: the one-bucket fold over only empty partial
+    blocks emits a keyed empty block with no ``canonical_id`` column."""
     parts = [t for t in blocks if t.num_rows]
     if not parts:
         return pa.table({c: pa.array([], pa.string()) for c in columns})
-    return merge(_rewrite(pa.concat_tables(parts, promote_options="default"),
-                          _lookup(canon).get, columns))
+    get = (dict(zip(canon["norm_surface"].to_pylist(),
+                    canon["canonical_id"].to_pylist()))
+           if canon.num_rows else {}).get
+    batch = pa.concat_tables(parts, promote_options="default")
+    out = (batch.append_column("subj", map_distinct(batch["h_norm"], get))
+           .append_column("obj", map_distinct(batch["t_norm"], get)))
+    return merge(out.select(columns).filter(pc.field("subj").is_valid()
+                                            & pc.field("pred").is_valid()
+                                            & pc.field("obj").is_valid()))
 
 
 def _one_block_merge(partials_ds, canon_ds, columns: list[str], merge):
@@ -163,31 +144,12 @@ def _one_block_merge(partials_ds, canon_ds, columns: list[str], merge):
         canon_ref, list(columns), merge, *partials_ds.to_arrow_refs())])
 
 
-def _broadcast_rewrite(partials_ds, canon: pa.Table, columns: list[str]):
-    """Phase 3 over the vote bound, with a map within the limit:
-    ``ray.put`` the map once; each worker builds its lookup once (cached
-    per worker) and rewrites each block."""
-    import ray
-
-    canon_ref = ray.put(canon)
-    ref_key = canon_ref.hex()
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        from .score import cached
-
-        get = cached(("canon", ref_key),
-                     lambda: _lookup(ray.get(canon_ref))).get
-        return _rewrite(batch, get, columns)
-
-    return partials_ds.map_batches(rewrite, batch_format="pyarrow")
-
-
 def _join_rewrite(partials_ds, canon_ds, columns: list[str]):
-    """Phase 3 over the vote bound, with a map over the limit: the map
-    stays a Dataset and the rewrite is two bucketed hash joins on the
-    surface key. Rows with a null pred (they have voted) are dropped
-    first; inner joins drop exactly the rows whose surface has no known
-    id, as the broadcast lookup's null does."""
+    """Phase 3 over the vote bound: the map stays a Dataset and the
+    rewrite is two bucketed hash joins on the surface key. Rows with a
+    null pred (they have voted) are dropped first; inner joins drop
+    exactly the rows whose surface has no known id, as the one-block
+    lookup's null does."""
     from ..functions.relational import shuffle_join
 
     rows = partials_ds.count() + canon_ds.count()
@@ -221,37 +183,27 @@ def canonicalize_ids(partials_ds, columns: list[str], merge):
     h_norm/t_norm, null-key rows dropped); each block holds every row of
     its subjs, so a fold keyed on subj is exact.
 
-    ``partials_ds`` must be materialized. The vote bound (2 × its row
-    count) is decided here, once. Within ``CANON_BROADCAST_LIMIT``: the
-    argmax as one ``hash_bucket_aggregate`` bucket over the partials,
-    then one task that rewrites and merges every partial block as ONE
-    block — no exchange. Above it the argmax runs over materialized
-    votes in coarse hash buckets, and the exact surface count decides
-    the rewrite: a broadcast map within the limit, two bucketed hash
-    joins above it; then ONE ``sort("subj")`` exchange, and ``merge``
-    per range partition. All paths emit identical rows.
+    ``partials_ds`` must be materialized. One decision, the vote bound
+    (2 × its row count) against ``CANON_BROADCAST_LIMIT``, picks one of
+    two paths. Within it: the argmax as one ``hash_bucket_aggregate``
+    bucket over the partials, then one task that rewrites and merges
+    every partial block as ONE block — no exchange. Above it: votes →
+    the argmax in coarse hash buckets (sized from the vote bound, which
+    bounds the vote rows from above) → two bucketed hash joins → ONE
+    ``sort("subj")`` exchange → ``merge`` per range partition. Both
+    paths emit identical rows.
     """
-    import ray
-
     from ..functions import relational
 
-    if 2 * partials_ds.count() <= CANON_BROADCAST_LIMIT:
+    vote_bound = 2 * partials_ds.count()
+    if vote_bound <= CANON_BROADCAST_LIMIT:
         canon_ds = relational.hash_bucket_aggregate(
             partials_ds, ["norm_surface"], fold_canonical_map, n_buckets=1)
         return _one_block_merge(partials_ds, canon_ds, columns, merge)
-    votes = partials_ds.map_batches(surface_votes,
-                                    batch_format="pyarrow").materialize()
+    votes = partials_ds.map_batches(surface_votes, batch_format="pyarrow")
+    # materialized: both joins read the map
     canon_ds = relational.hash_bucket_aggregate(
         votes, ["norm_surface"], _argmax_bucket,
-        rows_hint=votes.count()).materialize()
-    if canon_ds.count() > CANON_BROADCAST_LIMIT:
-        rows = _join_rewrite(partials_ds, canon_ds, columns)
-    else:
-        # empty blocks are skipped: Ray passes them through with the
-        # SOURCE schema
-        parts = [t.select(_MAP_SCHEMA.names).cast(_MAP_SCHEMA)
-                 for t in ray.get(canon_ds.to_arrow_refs()) if t.num_rows]
-        canon = (pa.concat_tables(parts) if parts
-                 else _MAP_SCHEMA.empty_table())
-        rows = _broadcast_rewrite(partials_ds, canon, columns)
-    return rows.sort("subj").map_batches(merge, batch_format="pyarrow")
+        rows_hint=vote_bound).materialize()
+    return (_join_rewrite(partials_ds, canon_ds, columns).sort("subj")
+            .map_batches(merge, batch_format="pyarrow"))

@@ -30,24 +30,6 @@ import time
 import pyarrow.parquet as pq
 
 
-class ShardManifest:
-    """One shard's manifest. ``lineage`` holds everything that decides the
-    shard's rows (input path and fingerprint, model hash, settings); resume
-    compares it item by item against the current run's."""
-
-    def __init__(self, shard: str, lineage: dict,
-                 counters: dict | None = None):
-        self.data = {
-            **lineage,
-            "shard": shard,
-            "counters": counters or {},
-            "completed_at": None,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=1, sort_keys=True)
-
-
 def input_fingerprint(path: str) -> dict:
     st = os.stat(path)
     return {"size": st.st_size, "mtime_ns": st.st_mtime_ns}
@@ -133,24 +115,28 @@ def staging_dir(out_root: str) -> str:
 
 
 def write_shard(parts: list[str], out_root: str, shard: str,
-                manifest: ShardManifest) -> str:
+                manifest: dict) -> str:
     """Atomically publish one shard: its staged ``parts`` (moved, not
-    copied) plus ``manifest`` with the row count read back from the part
-    footers. A shard with no parts publishes ``num_rows: 0``. A part file
-    whose footer cannot be read fails the shard: nothing is published, so
-    the next run redoes it.
+    copied) plus its ``manifest.json``, the one definition of the shard
+    manifest: ``manifest`` (the shard's lineage — everything that decides
+    its rows, which resume compares item by item — and its stage
+    ``counters``), its name, its completion time, and the file and row
+    counts read back from the part footers. A shard with no parts
+    publishes ``num_rows: 0``. A part file whose footer cannot be read
+    fails the shard: nothing is published, so the next run redoes it.
     """
     def write(tmp):
         for p in parts:
             os.rename(p, os.path.join(tmp, os.path.basename(p)))
         names = [os.path.basename(p) for p in parts]
-        manifest.data["completed_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                      time.gmtime())
-        manifest.data["num_files"] = len(names)
-        manifest.data["num_rows"] = sum(
-            pq.ParquetFile(os.path.join(tmp, f)).metadata.num_rows
-            for f in names)
+        data = {**manifest, "shard": shard,
+                "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                              time.gmtime()),
+                "num_files": len(names),
+                "num_rows": sum(
+                    pq.ParquetFile(os.path.join(tmp, f)).metadata.num_rows
+                    for f in names)}
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
-            fh.write(manifest.to_json())
+            json.dump(data, fh, indent=1, sort_keys=True)
 
     return publish(out_root, f"shard={shard}", write)

@@ -272,13 +272,30 @@ def test_publish_fsyncs_parquet_before_rename(ray_session, sf_dir, tmp_path,
         assert {os.path.join(src, f) for f in parts} | {src} <= synced
 
 
+def test_kg_job_cli_keeps_the_callers_session(ray_session, sf_dir,
+                                              tmp_path, capsys):
+    """``kg_job.main(argv)`` in-process under a session its caller owns:
+    one JSON line on stdout, the graph and its manifest published, and
+    the caller's session still up afterwards."""
+    import runpy
+
+    main = runpy.run_path(os.path.join(os.path.dirname(__file__),
+                                       os.pardir, "kg_job.py"))["main"]
+    out = str(tmp_path / "kg")
+    main(["--input", sf_dir, "--out", out])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["completed"] == 1
+    assert ray_session.is_initialized()
+    assert os.path.exists(os.path.join(out, "triples", "_manifest.json"))
+
+
 def test_unreadable_part_fails_shard(tmp_path, monkeypatch):
     """A part file whose footer cannot be read fails the shard: no
     manifest is published (so resume redoes it), never num_rows=null."""
     import pyarrow as pa
     import pyarrow.parquet as pq_mod
 
-    from opennre_ray.state.lineage import ShardManifest, write_shard
+    from opennre_ray.state.lineage import write_shard
 
     part = str(tmp_path / "part-0.parquet")
     pq_mod.write_table(pa.table({"id": list(range(10))}), part)
@@ -290,7 +307,7 @@ def test_unreadable_part_fails_shard(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     with pytest.raises(OSError, match="unreadable parquet footer"):
         write_shard([part], out, "s0",
-                    ShardManifest("s0", {"input_path": "in/s0"}))
+                    {"input_path": "in/s0", "counters": {}})
     assert not [n for n in os.listdir(out) if n.startswith("shard=")]
 
 

@@ -73,6 +73,27 @@ def test_all_modules_import():
     assert not failed, failed
 
 
+def test_library_never_owns_a_ray_session():
+    """The session belongs to the caller (driver, CLI, bench, the test
+    fixture): no module of the package calls ``ray.init`` or
+    ``ray.shutdown``, by attribute or by a ``from ray import``."""
+    import ast
+    import pathlib
+
+    owned = {"init", "shutdown"}
+    found = []
+    for path in sorted(pathlib.Path(opennre_ray.__path__[0]).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr in owned
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "ray") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "ray"
+                    and owned & {a.name for a in node.names}):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 WORDS = st.lists(st.text(alphabet="abcd", min_size=1, max_size=3),
                  min_size=0, max_size=40)
 

@@ -272,16 +272,16 @@ def test_anti_join_bloom_path_cross_dtype_and_schema(ray_session):
     assert sorted(bcast["k"]) == sorted(tbl.column("k").to_pylist())
 
 
-def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
-    """Over the surface-count limit, canonicalize_ids switches to the
-    bucketed-join rewrite; output must be row-identical to the broadcast
-    path (the size gate may never change semantics). Within the limit
-    the vote bound (2 × partial rows) keeps the argmax in one
+def test_canonicalize_join_path_matches_one_block(ray_session, monkeypatch):
+    """Over the vote bound (2 × partial rows above the limit),
+    canonicalize_ids switches from the one-block path to the
+    bucketed-join rewrite; its output must be row-identical (the size
+    gate may never change semantics). Within the limit the argmax is one
     ``hash_bucket_aggregate`` bucket over the materialized partials
     themselves, with no votes execution. Over it the argmax runs
-    bucketed over the votes, and the distinct-surface count still
-    decides: votes over the limit whose surfaces fit it are broadcast,
-    with no join."""
+    bucketed over the votes and two joins rewrite the partials, whether
+    the surfaces would fit the limit or not: the map's size decides
+    nothing."""
     import ray.data as rd
 
     from opennre_ray.functions import relational
@@ -322,9 +322,8 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
     monkeypatch.setattr(relational, "hash_bucket_aggregate", counted_agg)
     monkeypatch.setattr(relational, "shuffle_join", counted_join)
     outs, calls = [], []
-    # the one-bucket fold (default limit); broadcast with the limit at the
-    # surface count (the vote bound above it: the argmax runs bucketed);
-    # the join path
+    # the one-bucket fold (default limit); the join path with the limit
+    # at the surface count (below the vote bound) and just under it
     for limit in (canonicalize.CANON_BROADCAST_LIMIT, n_surfaces,
                   n_surfaces - 1):
         monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
@@ -334,16 +333,17 @@ def test_canonicalize_join_path_matches_broadcast(ray_session, monkeypatch):
         calls.append((list(aggs), len(joins)))
         aggs.clear()
         joins.clear()
-    bcast, gated, joined = outs
+    one_block, gated, joined = outs
     # per hash_bucket_aggregate call (key columns, n_buckets, input is
     # the partials), then the join count: the argmax buckets on
     # norm_surface, each shuffle_join on its tagged _key
     fold = (["norm_surface"], 1, True)
     argmax, join = (["norm_surface"], None, False), (["_key"], None, False)
-    assert calls == [([fold], 0), ([argmax], 0), ([argmax, join, join], 2)]
-    assert bcast["n_evidence"].sum() == len(rows)
-    pd.testing.assert_frame_equal(bcast, gated, check_dtype=False)
-    pd.testing.assert_frame_equal(bcast, joined, check_dtype=False)
+    assert calls == [([fold], 0), ([argmax, join, join], 2),
+                     ([argmax, join, join], 2)]
+    assert one_block["n_evidence"].sum() == len(rows)
+    pd.testing.assert_frame_equal(one_block, gated, check_dtype=False)
+    pd.testing.assert_frame_equal(one_block, joined, check_dtype=False)
 
 
 def test_global_rank_matches_sql_row_number(ray_session):
@@ -557,14 +557,29 @@ def _read_graph(ds, out):
             else pd.DataFrame(columns=["subj"]))
 
 
+def _limit_over_surfaces(ds, df: pd.DataFrame) -> int:
+    """A ``CANON_BROADCAST_LIMIT`` just under the vote bound (2 × the
+    partial rows of ``ds``) that every distinct voting surface of ``df``
+    still fits: the join path runs, and the map's size picks nothing."""
+    from opennre_ray.stages.ner import normalize_surface
+
+    limit = 2 * ds.map_batches(_partial_triples,
+                               batch_format="pyarrow").count() - 1
+    voters = pd.concat([df[["h_name", "h_id"]].set_axis(["s", "i"], axis=1),
+                        df[["t_name", "t_id"]].set_axis(["s", "i"], axis=1)])
+    assert 0 < voters.dropna()["s"].map(normalize_surface).nunique() <= limit
+    return limit
+
+
 def test_finalize_hot_subj_exact_and_subj_sorted(ray_session, tmp_path,
                                                  monkeypatch):
     """A hot subj spread over 16 input blocks: the per-block partials and
     the merge equal the pandas oracle on every aggregate, and the written
     rows are globally sorted by subj. Under the vote bound the graph is
-    one file; with the limit lowered below the vote bound (a broadcast
-    map, then a join) the range exchange spreads it over several files
-    and the merge runs per range partition."""
+    one file; with the limit lowered below the vote bound (1000, above
+    the surface count, and 0: the join path both times) the range
+    exchange spreads it over several files and the merge runs per range
+    partition."""
     import ray.data as rd
 
     from opennre_ray.pipelines.kg import finalize_triples
@@ -627,18 +642,24 @@ def test_finalize_zero_rows_writes_empty_graph(ray_session, tmp_path,
     assert len(got) == 0
 
 
-@pytest.mark.parametrize("case", ["null_ids", "empty_blocks"])
-def test_one_block_tail_with_an_empty_map(ray_session, tmp_path, case):
+@pytest.mark.parametrize("case,limit", [("null_ids", None),
+                                        ("empty_blocks", None),
+                                        ("null_ids", 0)],
+                         ids=["null_ids", "empty_blocks", "null_ids_join"])
+def test_one_block_tail_with_an_empty_map(ray_session, tmp_path,
+                                          monkeypatch, case, limit):
     """Under the vote bound the rewrite-and-merge task reads a zero-row
-    map as an empty lookup: with every id null the map is empty while the partials
-    are not, and with every block empty the one-bucket map block is
-    ``hash_bucket_aggregate``'s keyed empty block, which has no
-    ``canonical_id`` column. Either way the graph is empty: no data file
-    and an empty manifest."""
+    map as an empty lookup: with every id null the map is empty while
+    the partials are not, and with every block empty the one-bucket map
+    block is ``hash_bucket_aggregate``'s keyed empty block, which has no
+    ``canonical_id`` column. Over it (limit 0, every id null) the joins
+    read an empty bucketed map and match no row. Every way the graph is
+    empty: no data file and an empty manifest."""
     import ray
     import ray.data as rd
 
     from opennre_ray.pipelines.kg import finalize_triples
+    from opennre_ray.stages import canonicalize
 
     df = _hot_subj_candidates(200, seed=13)
     if case == "null_ids":
@@ -658,6 +679,8 @@ def test_one_block_tail_with_an_empty_map(ray_session, tmp_path, case):
         assert partials.count() > 0
     else:
         assert canon.schema.names == ["norm_surface"]
+    if limit is not None:
+        monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
     got = _read_graph(finalize_triples(ds), str(tmp_path / "g"))
     assert len(got) == 0
 
@@ -712,7 +735,8 @@ def test_driver_folded_map_equals_bucketed_map(ray_session):
     assert folded["france"] == "Q142" and folded["tie"] == "QA"
 
 
-@pytest.mark.parametrize("limit", [None, 0])      # one bucket, join path
+# one bucket; the join path at limit 0 and just under the vote bound
+@pytest.mark.parametrize("limit", [None, 0, "over_surfaces"])
 def test_finalize_skips_empty_and_promotes_null_typed_blocks(
         ray_session, monkeypatch, limit):
     """The partial blocks reach canonicalize as Ray hands them on: blocks
@@ -740,11 +764,14 @@ def test_finalize_skips_empty_and_promotes_null_typed_blocks(
     assert sorted(t.num_rows for t in blocks) == [0, 0] + [50] * 6
     assert pa.null() in [t.schema.field("h_id").type for t in blocks
                          if t.num_rows]
+    kept = df[~df["url"].str.startswith("https://drop/")]
+    if limit == "over_surfaces":
+        limit = _limit_over_surfaces(ds, kept)
     if limit is not None:
         monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
     got = (finalize_triples(ds).to_pandas()
            .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
-    want = _finalize_oracle(df[~df["url"].str.startswith("https://drop/")])
+    want = _finalize_oracle(kept)
     pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
                                   check_dtype=False)
 
@@ -755,7 +782,8 @@ def test_finalize_null_pred_votes_and_null_id_surfaces(ray_session,
     whose majority comes only from them keeps that canonical id. A
     surface whose ids are all null has no canonical id, so its rows are
     dropped; null ids never vote, so one id among nulls wins. Both paths
-    equal the pandas oracle."""
+    (the join path at limit 0 and just under the vote bound) equal the
+    pandas oracle."""
     import ray.data as rd
 
     from opennre_ray.pipelines.kg import finalize_triples
@@ -795,14 +823,16 @@ def test_finalize_null_pred_votes_and_null_id_surfaces(ray_session,
         ["r0", "Q100", 3]]
     assert want["n_evidence"].sum() == df["pred_rel"].notna().sum() - 4
     outs = []
-    for limit in (canonicalize.CANON_BROADCAST_LIMIT, 0):   # one block, join
+    for limit in (canonicalize.CANON_BROADCAST_LIMIT,   # one block, join
+                  _limit_over_surfaces(ds, df), 0):
         monkeypatch.setattr(canonicalize, "CANON_BROADCAST_LIMIT", limit)
         got = (finalize_triples(ds).to_pandas()
                .sort_values(["subj", "pred", "obj"]).reset_index(drop=True))
         pd.testing.assert_frame_equal(got, want[got.columns.tolist()],
                                       check_dtype=False)
         outs.append(got)
-    pd.testing.assert_frame_equal(outs[0], outs[1])     # dtypes too
+    for got in outs[1:]:
+        pd.testing.assert_frame_equal(outs[0], got)     # dtypes too
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +898,17 @@ def _fuzz_tail_input():
 
 
 def test_finalize_paths_match_oracle_fuzzed(ray_session):
-    """The tail's three paths — the one-bucket path (default limit), the
-    broadcast rewrite (the limit between the surface count and the vote
-    bound) and the join rewrite (limit 0) — each equal the pandas oracle,
-    dtypes and (subj, pred, obj) order included, over generated tables
-    split into random blocks."""
+    """The tail's two paths — the one-bucket path (default limit) and the
+    join rewrite, once with the limit between the surface count and the
+    vote bound and once at 0 — each equal the pandas oracle, dtypes and
+    (subj, pred, obj) order included, over generated tables split into
+    random blocks."""
     import ray.data as rd
     from hypothesis import HealthCheck, given, settings
 
     from opennre_ray.functions import relational
     from opennre_ray.pipelines.kg import finalize_triples
     from opennre_ray.stages import canonicalize
-    from opennre_ray.stages.ner import normalize_surface
 
     orig_agg, orig_join = (relational.hash_bucket_aggregate,
                            relational.shuffle_join)
@@ -891,14 +920,6 @@ def test_finalize_paths_match_oracle_fuzzed(ray_session):
         df, tables = case
         ds = rd.from_arrow(tables)
         want = _finalize_oracle(df)
-        partial_rows = ds.map_batches(_partial_triples,
-                                      batch_format="pyarrow").count()
-        voters = pd.concat([df[["h_name", "h_id"]].set_axis(["s", "i"],
-                                                             axis=1),
-                            df[["t_name", "t_id"]].set_axis(["s", "i"],
-                                                            axis=1)])
-        n_surfaces = voters.dropna()["s"].map(normalize_surface).nunique()
-        assert 0 < n_surfaces < 2 * partial_rows
         calls = []
 
         def agg(ds, key_cols, *a, **kw):
@@ -910,11 +931,12 @@ def test_finalize_paths_match_oracle_fuzzed(ray_session):
             calls.append(("join", None))
             return orig_join(*a, **kw)
 
+        joins = [("argmax", None), ("join", None), ("join", None)]
         paths = {"one_bucket": (canonicalize.CANON_BROADCAST_LIMIT,
                                 [("argmax", 1)]),
-                 "broadcast": (2 * partial_rows - 1, [("argmax", None)]),
-                 "join": (0, [("argmax", None), ("join", None),
-                              ("join", None)])}
+                 "join_over_surfaces": (_limit_over_surfaces(ds, df),
+                                        joins),
+                 "join": (0, joins)}
         for path, (limit, expect) in paths.items():
             calls.clear()
             with pytest.MonkeyPatch.context() as mp:
